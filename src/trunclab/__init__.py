@@ -32,12 +32,10 @@ from .lattice import (
     EvaluationError,
     LatticeFormatError,
     LatticeRule,
-    estimate_truncation_error,
     estimate_truncation_errors,
     lattice_rule,
     load_builtin_vector,
     load_generating_vector,
-    qmc_mean,
 )
 from .theory import (
     ErrorTable,
@@ -69,55 +67,3 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "IDENTITY",
-    "PERIODIC",
-    "CoercivityError",
-    "DiffusionFieldSpec",
-    "Transform",
-    "b_sequence",
-    "coercivity_bounds",
-    "truncate",
-    "Assembler",
-    "FemSolution",
-    "SolveError",
-    "TriangularMesh",
-    "assemble_system",
-    "build_unit_square_mesh",
-    "diff_norm",
-    "qoi_nl",
-    "solve",
-    "EvaluationError",
-    "LatticeFormatError",
-    "LatticeRule",
-    "estimate_truncation_error",
-    "estimate_truncation_errors",
-    "lattice_rule",
-    "load_builtin_vector",
-    "load_generating_vector",
-    "qmc_mean",
-    "ErrorTable",
-    "FitResult",
-    "TheoryParams",
-    "affine_theory_params",
-    "expected_rate",
-    "fit_rate",
-    "regularity_bound",
-    "stechkin_tail_bound",
-    "summability_exponent",
-    "taylor_order",
-    "truncation_upper_bound",
-    "ScalarModelSpec",
-    "certified_theory_params",
-    "default_oracle_spec",
-    "exact_l2_truncation_error",
-    "ExperimentConfig",
-    "PdeTruncationModel",
-    "config_from_json",
-    "config_to_json",
-    "paper_scale",
-    "predict_report",
-    "run_experiment",
-    "__version__",
-]

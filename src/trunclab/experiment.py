@@ -9,13 +9,14 @@ random shift (drawn from the config seed) serves every theta.
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import fem, lattice, theory
+from . import fem, field, lattice, theory
 from .field import (
     DiffusionFieldSpec,
     Transform,
@@ -44,6 +45,29 @@ SOURCE_DUAL_NORM_BOUND = 1.0 / (math.pi * math.sqrt(6.0))
 FIELD_A0 = 1.5
 
 
+def _number(name, value) -> float:
+    """value as a float; ValueError unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(name, value) -> int:
+    """value as an int; ValueError unless it is an integral number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(name, value, convert) -> tuple:
+    """Every entry of a list-like value converted with convert(name, entry)."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(convert(f"{name} entry", v) for v in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One convergence study: which decays, dimensions, mesh, budget, output.
@@ -65,15 +89,19 @@ class ExperimentConfig:
     lattice_file: str = "builtin"
 
     def __post_init__(self):
-        theta_list = tuple(float(t) for t in self.theta_list)
-        s_list = tuple(int(s) for s in self.s_list)
-        if not theta_list:
+        # JSON configs arrive unchecked: coerce first, so the checks below see numbers
+        for name in ("s_ref", "mesh_m", "n_nodes", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "theta_list", _list_of("theta_list", self.theta_list, _number))
+        object.__setattr__(self, "s_list", _list_of("s_list", self.s_list, _integer))
+        if not self.theta_list:
             raise ValueError("theta_list must be nonempty")
-        for theta in theta_list:
+        for theta in self.theta_list:
             if theta <= 1.0:
                 raise ValueError(
                     f"theta = {theta} <= 1: b is not l^p-summable for any p < 1"
                 )
+        s_list = self.s_list
         if not s_list:
             raise ValueError("s_list must be nonempty")
         if any(s <= 0 for s in s_list) or any(
@@ -88,8 +116,7 @@ class ExperimentConfig:
             )
         if self.mesh_m < 1:
             raise ValueError(f"mesh_m = {self.mesh_m} must be positive")
-        n = int(self.n_nodes)
-        if n < 2 or n & (n - 1):
+        if self.n_nodes < 2 or self.n_nodes & (self.n_nodes - 1):
             raise ValueError(f"n_nodes = {self.n_nodes} is not a power of two >= 2")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
@@ -101,12 +128,6 @@ class ExperimentConfig:
             raise ValueError(f"norm must be one of {NORMS}")
         if not isinstance(self.lattice_file, str) or not self.lattice_file:
             raise ValueError("lattice_file must be a nonempty path or 'builtin'")
-        object.__setattr__(self, "theta_list", theta_list)
-        object.__setattr__(self, "s_list", s_list)
-        object.__setattr__(self, "s_ref", int(self.s_ref))
-        object.__setattr__(self, "mesh_m", int(self.mesh_m))
-        object.__setattr__(self, "n_nodes", n)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def paper_scale(config: ExperimentConfig) -> ExperimentConfig:
@@ -135,9 +156,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("theta_list", "s_list"):
-        if key in data:
-            data[key] = tuple(data[key])
     return ExperimentConfig(**data)
 
 
@@ -165,16 +183,27 @@ def _load_vector(config: ExperimentConfig) -> np.ndarray:
     return z
 
 
+def field_spec_for(config: ExperimentConfig, theta: float) -> DiffusionFieldSpec:
+    """The coefficient family a run of config uses at decay theta."""
+    return DiffusionFieldSpec(
+        a0=FIELD_A0,
+        decay=theta,
+        transform=Transform(config.transform),
+        max_modes=config.s_ref,
+    )
+
+
 class PdeTruncationModel:
     """The FEM solution (or its QoI) as a function of (s, y) for the estimator.
 
     Everything reusable is precomputed once: mesh geometry and sparsity
     pattern, the load vector of the fixed source f(x) = x1, and the sine
     table of all modes up to s_ref at the stiffness quadrature points.  A
-    call assembles the stiffness matrix for the truncated coefficient and
-    solves; with quantity="qoi_nl" it returns the scalar G(u) instead of the
-    solution object.  Instances are picklable, so process pools can receive
-    them wholesale.
+    call model(s, y) takes y with up to s_ref coordinates, assembles the
+    stiffness matrix for the coefficient of y truncated to its first s
+    coordinates, and solves; with quantity="qoi_nl" it returns the scalar
+    G(u) instead of the solution object.  Instances are picklable, so
+    process pools can receive them wholesale.
     """
 
     def __init__(
@@ -183,31 +212,24 @@ class PdeTruncationModel:
         mesh_m: int,
         quantity: str = "full_solution",
         quad_order: int = 2,
-        solver: str = "direct",
     ):
         self.spec = field_spec
         self.quantity = quantity
-        self.solver = solver
         mesh = fem.build_unit_square_mesh(mesh_m)
         self.assembler = fem.Assembler(mesh, quad_order)
         points = self.assembler.quad_points.reshape(-1, 2)
         self.rhs = self.assembler.load(
             points[:, 0].reshape(self.assembler.quad_points.shape[:2])
         )
-        modes = np.arange(1, field_spec.max_modes + 1, dtype=float)
-        self.mode_table = np.sin(np.pi * np.outer(modes, points[:, 0])) * np.sin(
-            np.pi * np.outer(modes, points[:, 1])
-        )
-        self.mode_weights = modes ** -field_spec.decay
+        self.mode_table = field.mode_table(field_spec.max_modes, points)
+        self.mode_weights = field.mode_weights(field_spec, field_spec.max_modes)
 
     def coefficient_at_quad(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        xi = self.spec.transform.apply(y)
-        coeff = self.spec.a0 + (xi * self.mode_weights[: y.size]) @ self.mode_table[: y.size]
+        coeff = field.coefficient_from_modes(self.spec, y, self.mode_table, self.mode_weights)
         return coeff.reshape(self.assembler.quad_points.shape[:2])
 
     def __call__(self, s, y):
-        # the tail of y beyond s is zero and xi(0) = 0, so dropping it is exact
+        # xi(0) = 0, so dropping the coordinates past s truncates exactly
         active = np.asarray(y, dtype=float)[: int(s)]
         matrix = self.assembler.stiffness(self.coefficient_at_quad(active))
         system = fem.LinearSystem(
@@ -216,7 +238,7 @@ class PdeTruncationModel:
             mesh=self.assembler.mesh,
             interior=self.assembler.interior,
         )
-        solution = fem.solve(system, method=self.solver)
+        solution = fem.solve(system)
         if self.quantity == "qoi_nl":
             return fem.qoi_nl(solution)
         return solution
@@ -249,13 +271,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for theta in config.theta_list:
-        field_spec = DiffusionFieldSpec(
-            a0=FIELD_A0,
-            decay=theta,
-            transform=Transform(config.transform),
-            max_modes=config.s_ref,
+        model = PdeTruncationModel(
+            field_spec_for(config, theta), config.mesh_m, quantity=config.quantity
         )
-        model = PdeTruncationModel(field_spec, config.mesh_m, quantity=config.quantity)
         errors = lattice.estimate_truncation_errors(
             model,
             config.s_list,
@@ -289,12 +307,7 @@ def theory_params_for(config: ExperimentConfig, theta: float):
     periodic parameterization keeps the same shape with the transform's
     moment constant swapped in for the uniform one.
     """
-    field_spec = DiffusionFieldSpec(
-        a0=FIELD_A0,
-        decay=theta,
-        transform=Transform(config.transform),
-        max_modes=config.s_ref,
-    )
+    field_spec = field_spec_for(config, theta)
     a_min, a_max = coercivity_bounds(field_spec)
     p = theory.summability_exponent(theta)
     params = theory.affine_theory_params(
@@ -382,8 +395,8 @@ def oracle_spec_from_json(text: str) -> ScalarModelSpec:
     if unknown:
         raise ValueError(f"unknown oracle spec keys: {', '.join(unknown)}")
     return ScalarModelSpec(
-        a0=float(data.get("a0", 1.5)),
-        b=tuple(data.get("b", ())),
+        a0=_number("a0", data.get("a0", 1.5)),
+        b=_list_of("b", data.get("b", ()), _number),
         transform=Transform(data.get("transform", "identity")),
     )
 
@@ -397,15 +410,21 @@ def oracle_check_report(spec=None, seed: int = 1, n_used: int = 2 ** 14, q: int 
     spec = default_oracle_spec() if spec is None else spec
     z = lattice.load_builtin_vector()
     rule = lattice.lattice_rule(n_used, z, seed=seed)
-    model = ScalarTruncationModel(spec)
-    s_prime = spec.s_prime
+    s_values = list(range(1, spec.s_prime))
+    estimates = []
+    if s_values:
+        estimates = lattice.estimate_truncation_errors(
+            ScalarTruncationModel(spec),
+            s_values,
+            spec.s_prime,
+            rule,
+            lattice.scalar_distance,
+            n_used=n_used,
+        ).tolist()
     ok = True
     lines = []
-    for s in range(1, s_prime):
+    for s, estimate in zip(s_values, estimates):
         exact = exact_l2_truncation_error(spec, s, q=q)
-        estimate = lattice.estimate_truncation_error(
-            model, s, s_prime, rule, lattice.scalar_distance, n_used=n_used
-        )
         if exact == 0.0 and estimate == 0.0:
             lines.append(f"s={s}: exact zero on both sides, pass")
             continue

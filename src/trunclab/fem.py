@@ -274,36 +274,23 @@ class FemSolution:
         return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
 
 
-def solve(system: LinearSystem, method: str = "direct") -> FemSolution:
-    """Solve the interior system to relative residual 1e-10.
+def solve(system: LinearSystem) -> FemSolution:
+    """Solve the interior system by sparse LU to relative residual 1e-10.
 
-    "direct" factorizes with sparse LU, "cg" runs Jacobi-preconditioned
-    conjugate gradients capped at 10x the interior dimension; both answers
-    are checked against the same residual contract.  Boundary values of the
-    returned solution are identically zero.
+    The answer is checked against the residual contract; boundary values of
+    the returned solution are identically zero.
     """
     matrix, rhs = system.matrix, system.rhs
     n = matrix.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
-    iterations = 0
     if n == 0 or rhs_norm == 0.0:
         inner = np.zeros(n)
-    elif method == "direct":
-        inner = spla.splu(matrix.tocsc()).solve(rhs)
-    elif method == "cg":
-        diag = matrix.diagonal()
-        precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
-        iterations = 10 * n
-        inner, _ = spla.cg(matrix, rhs, rtol=1e-12, atol=0.0, maxiter=iterations, M=precond)
     else:
-        raise ValueError(f"unknown solve method {method!r}")
-    if n and rhs_norm:
+        inner = spla.splu(matrix.tocsc()).solve(rhs)
         residual = float(np.linalg.norm(rhs - matrix @ inner))
         if residual > SOLVER_RTOL * rhs_norm:
-            cap = f" after the {iterations}-iteration cap" if method == "cg" else ""
             raise SolveError(
-                f"residual {residual:.3e} exceeds contract "
-                f"{SOLVER_RTOL * rhs_norm:.3e}{cap}"
+                f"residual {residual:.3e} exceeds contract {SOLVER_RTOL * rhs_norm:.3e}"
             )
     values = np.zeros(len(system.mesh.vertices))
     values[system.interior] = inner

@@ -60,11 +60,6 @@ IDENTITY = Transform("identity")
 PERIODIC = Transform("periodic")
 
 
-def apply_transform(transform: Transform, y):
-    """Componentwise xi(y_j); every |y_j| must be at most 1/2."""
-    return transform.apply(y)
-
-
 def truncate(y, s: int):
     """Zero all components beyond the first s; the length is preserved."""
     y = np.asarray(y, dtype=float)
@@ -101,9 +96,33 @@ class DiffusionFieldSpec:
         coercivity_bounds(self)  # rejects specs without a positive lower bound
 
 
+def mode_weights(spec: DiffusionFieldSpec, count: int) -> np.ndarray:
+    """Mode amplitudes j^(-decay) for j = 1..count."""
+    return np.arange(1, count + 1, dtype=float) ** -spec.decay
+
+
+def mode_table(count: int, points) -> np.ndarray:
+    """Spatial modes sin(j pi x1) sin(j pi x2) for j = 1..count at (P, 2) points.
+
+    Row j - 1 holds mode j; the result has shape (count, P).
+    """
+    j = np.arange(1, count + 1, dtype=float)
+    return np.sin(np.pi * np.outer(j, points[:, 0])) * np.sin(np.pi * np.outer(j, points[:, 1]))
+
+
+def coefficient_from_modes(spec: DiffusionFieldSpec, y, table, weights) -> np.ndarray:
+    """a0 + sum_j xi(y_j) weights[j] table[j] over the first len(y) modes.
+
+    table and weights come from mode_table and mode_weights and may hold
+    more modes than y has components.
+    """
+    y = np.asarray(y, dtype=float)
+    s = y.size
+    return spec.a0 + (spec.transform.apply(y) * weights[:s]) @ table[:s]
+
+
 def _envelope_sum(spec: DiffusionFieldSpec) -> float:
-    j = np.arange(1, spec.max_modes + 1, dtype=float)
-    return spec.transform.sup_abs * float(np.sum(j ** -spec.decay))
+    return spec.transform.sup_abs * float(np.sum(mode_weights(spec, spec.max_modes)))
 
 
 def coercivity_bounds(spec: DiffusionFieldSpec):
@@ -142,8 +161,7 @@ def b_sequence(spec: DiffusionFieldSpec, count: int):
     comes arbitrarily close to 1 somewhere in the open unit square.
     """
     a_min, _ = coercivity_bounds(spec)
-    j = np.arange(1, count + 1, dtype=float)
-    return j ** -spec.decay / a_min
+    return mode_weights(spec, count) / a_min
 
 
 def eval_coefficient(spec: DiffusionFieldSpec, y, x):
@@ -171,9 +189,7 @@ def eval_coefficient(spec: DiffusionFieldSpec, y, x):
         raise ValueError("x must be a point or an array of points in the plane")
     if pts.size and (pts.min() < -_DOMAIN_TOL or pts.max() > 1.0 + _DOMAIN_TOL):
         raise ValueError("spatial point outside the closed unit square")
-    xi = spec.transform.apply(y)
-    j = np.arange(1, y.size + 1, dtype=float)
-    weights = xi * j ** -spec.decay
-    modes = np.sin(np.pi * np.outer(j, pts[:, 0])) * np.sin(np.pi * np.outer(j, pts[:, 1]))
-    values = spec.a0 + weights @ modes
+    values = coefficient_from_modes(
+        spec, y, mode_table(y.size, pts), mode_weights(spec, y.size)
+    )
     return float(values[0]) if single else values

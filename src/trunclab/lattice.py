@@ -1,4 +1,4 @@
-"""Rank-1 lattice rules with a single random shift, and QMC averaging.
+"""Rank-1 lattice rules with a single random shift, and the truncation sweep.
 
 Nodes are frac(i*z/n + shift) - 1/2 on [-1/2, 1/2)^s; the products i*z_j are
 reduced mod n in exact integer arithmetic before any division.  All averages
@@ -18,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import truncate
-
 MAX_NODES = 2 ** 20
 BUILTIN_VECTOR = "lattice-rcbc-1024-1048576.3600.txt"
 
-_MEAN_BLOCK = 1024  # indices per partial sum in qmc_mean
-_SWEEP_BLOCK = 64   # indices per partial sum in truncation sweeps
+_SWEEP_BLOCK = 64  # indices per partial sum in truncation sweeps
 
 
 class LatticeFormatError(ValueError):
@@ -78,24 +75,11 @@ def lattice_rule(n: int, z, seed: int = 1) -> LatticeRule:
     return LatticeRule(n=n, z=reduced, shift=shift, seed=int(seed))
 
 
-def with_seed(rule: LatticeRule, seed: int) -> LatticeRule:
-    """Same lattice, fresh random shift."""
-    return lattice_rule(rule.n, rule.z, seed=seed)
-
-
-def generate_node(rule: LatticeRule, i: int, s: int) -> np.ndarray:
-    """Shifted node for index i (taken mod n) in [-1/2, 1/2)^s."""
-    if s > rule.z.size:
-        raise ValueError(
-            f"dimension {s} exceeds generating vector length {rule.z.size}"
-        )
-    i = int(i) % rule.n
-    residue = (i * rule.z[:s]) % rule.n
-    return (residue / rule.n + rule.shift[:s]) % 1.0 - 0.5
-
-
 def generate_nodes(rule: LatticeRule, start: int, stop: int, s: int) -> np.ndarray:
-    """Nodes for the index range [start, stop) as a (stop-start, s) array."""
+    """Shifted nodes in [-1/2, 1/2)^s for indices start..stop-1 (taken mod n).
+
+    Returns a (stop - start, s) array, one node per row.
+    """
     if s > rule.z.size:
         raise ValueError(
             f"dimension {s} exceeds generating vector length {rule.z.size}"
@@ -129,29 +113,6 @@ def _check_n_used(rule: LatticeRule, n_used):
     return n_used
 
 
-def qmc_mean(f, rule: LatticeRule, s: int, n_used=None) -> float:
-    """Equal-weight average of f over the first n_used shifted nodes.
-
-    Evaluations are streamed in fixed blocks of 1024 indices; block sums are
-    combined by a fixed pairwise tree.  A non-finite value of f aborts with
-    the offending node index.
-    """
-    n_used = _check_n_used(rule, n_used)
-    block_sums = []
-    for start in range(0, n_used, _MEAN_BLOCK):
-        stop = min(start + _MEAN_BLOCK, n_used)
-        nodes = generate_nodes(rule, start, stop, s)
-        vals = np.array([f(nodes[k]) for k in range(stop - start)], dtype=float)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            k = int(np.flatnonzero(~finite)[0])
-            raise EvaluationError(
-                f"integrand returned {vals[k]!r} at node index {start + k}"
-            )
-        block_sums.append(float(np.sum(vals)))
-    return _pairwise_sum(block_sums) / n_used
-
-
 # Worker-side state for truncation sweeps.  Installed once per process by the
 # pool initializer (or by the serial path), so large models are not re-pickled
 # for every block.
@@ -167,13 +128,10 @@ def _sweep_block(bounds):
     model, s_list, s_ref, rule, norm = _SWEEP_STATE
     start, stop = bounds
     sums = np.zeros(len(s_list))
-    for i in range(start, stop):
-        y = generate_node(rule, i, s_ref)
+    for i, y in enumerate(generate_nodes(rule, start, stop, s_ref), start):
         try:
             reference = model(s_ref, y)
-            values = [
-                None if s == s_ref else model(s, truncate(y, s)) for s in s_list
-            ]
+            values = [None if s == s_ref else model(s, y) for s in s_list]
         except EvaluationError:
             raise
         except Exception as exc:
@@ -195,10 +153,12 @@ def estimate_truncation_errors(
 ):
     """QMC estimates of the L2 truncation error for every s in s_list.
 
-    For each node the model is evaluated once at the reference dimension
-    s_ref (the stand-in for infinity) and once per requested truncation
-    level; `norm` maps two model outputs to their distance.  Returns an
-    array aligned with s_list; entries with s = s_ref are exactly zero.
+    `model(s, y)` receives the node y with all s_ref coordinates and returns
+    the output at y truncated to its first s coordinates.  For each node the
+    model is evaluated once at the reference dimension s_ref (the stand-in
+    for infinity) and once per requested truncation level, all on the same
+    y; `norm` maps two model outputs to their distance.  Returns an array
+    aligned with s_list; entries with s = s_ref are exactly zero.
 
     Work is split into fixed blocks of 64 node indices.  With workers > 1
     the blocks go to a process pool (model, rule and norm must be
@@ -233,34 +193,6 @@ def estimate_truncation_errors(
             partials = list(pool.map(_sweep_block, blocks))
     totals = _pairwise_sum(partials)
     return np.sqrt(totals / n_used)
-
-
-def estimate_truncation_error(
-    model, s: int, s_ref: int, rule: LatticeRule, norm, n_used=None
-) -> float:
-    """Single-s convenience wrapper around estimate_truncation_errors."""
-    return float(
-        estimate_truncation_errors(model, [s], s_ref, rule, norm, n_used=n_used)[0]
-    )
-
-
-def multishift_truncation_estimates(
-    model, s: int, s_ref: int, rule: LatticeRule, norm, seeds, n_used=None
-):
-    """Re-estimate under several independent shifts (variance diagnostic).
-
-    Returns one estimate per seed; the root mean square of the returned
-    array is the combined multi-shift estimate.  Headline numbers use the
-    single shift baked into `rule`.
-    """
-    return np.array(
-        [
-            estimate_truncation_error(
-                model, s, s_ref, with_seed(rule, seed), norm, n_used=n_used
-            )
-            for seed in seeds
-        ]
-    )
 
 
 def scalar_distance(u, v) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import IDENTITY, CoercivityError, Transform
+from .field import IDENTITY, CoercivityError, Transform, truncate
 from .theory import TheoryParams, affine_theory_params
 
 GRID_BUDGET = 250_000_000
@@ -84,17 +84,16 @@ def scalar_model(spec: ScalarModelSpec, y) -> float:
 
 
 class ScalarTruncationModel:
-    """Adapter (s, y) -> model value for the QMC truncation estimator.
+    """Adapter (s, y) -> model value at y truncated to its first s coordinates.
 
-    The truncation level s is already encoded in the zeroed tail of y, so
-    the call ignores it beyond the signature contract.
+    y holds all s' coordinates, as the QMC truncation estimator passes it.
     """
 
     def __init__(self, spec: ScalarModelSpec):
         self.spec = spec
 
     def __call__(self, s, y) -> float:
-        return scalar_model(self.spec, y)
+        return scalar_model(self.spec, truncate(y, s))
 
 
 def _sum_grid(bvals, xi_nodes, weights):

@@ -27,7 +27,6 @@ from trunclab.experiment import (
 from trunclab.field import (
     PERIODIC,
     DiffusionFieldSpec,
-    apply_transform,
     truncate,
 )
 from trunclab.oracle import (
@@ -211,7 +210,7 @@ def test_invariant_suite(full_tables, tmp_path_factory):
 
     # zero-mean transform: the periodic map integrates to zero on [-1/2, 1/2]
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    mean = 0.5 * weights @ apply_transform(PERIODIC, 0.5 * nodes)
+    mean = 0.5 * weights @ PERIODIC.apply(0.5 * nodes)
     if abs(mean) > 1e-12:
         failures.append(f"zero-mean transform (mean {mean:.2e})")
 
@@ -231,8 +230,8 @@ def test_invariant_suite(full_tables, tmp_path_factory):
     # lattice nodes are periodic in the index
     rule = lattice.lattice_rule(2 ** 10, lattice.load_builtin_vector(), seed=1)
     if not np.array_equal(
-        lattice.generate_node(rule, 3 + 2 ** 10, 8),
-        lattice.generate_node(rule, 3, 8),
+        lattice.generate_nodes(rule, 3 + 2 ** 10, 4 + 2 ** 10, 8)[0],
+        lattice.generate_nodes(rule, 3, 4, 8)[0],
     ):
         failures.append("node periodicity")
 

@@ -20,7 +20,7 @@ from trunclab.experiment import (
     predict_report,
     run_experiment,
 )
-from trunclab.field import PERIODIC, DiffusionFieldSpec, eval_coefficient
+from trunclab.field import PERIODIC, DiffusionFieldSpec, eval_coefficient, truncate
 
 MICRO = ExperimentConfig(
     theta_list=(2.0,),
@@ -68,6 +68,12 @@ def test_config_validation_errors():
         ExperimentConfig(quantity="gradient")
     with pytest.raises(ValueError):
         ExperimentConfig(norm="L1")
+    with pytest.raises(ValueError, match="theta_list"):
+        ExperimentConfig(theta_list=2.0)
+    with pytest.raises(ValueError, match="theta_list"):
+        ExperimentConfig(theta_list=(2.0, math.nan))
+    with pytest.raises(ValueError, match="s_list"):
+        ExperimentConfig(s_list=(2, 4.5))
 
 
 def test_config_json_round_trip():
@@ -106,6 +112,14 @@ def test_model_zero_parameter_gives_constant_coefficient():
     model = PdeTruncationModel(spec, mesh_m=4)
     coeff = model.coefficient_at_quad(np.zeros(16))
     assert np.allclose(coeff, 1.5, atol=1e-15)
+
+
+def test_model_truncates_full_length_node(rng):
+    spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=16)
+    model = PdeTruncationModel(spec, mesh_m=4)
+    y = rng.uniform(-0.5, 0.5, size=16)
+    for s in (0, 1, 5, 15, 16):
+        assert np.array_equal(model(s, y).values, model(s, truncate(y, s)).values)
 
 
 def test_model_qoi_quantity_returns_scalar():
@@ -227,6 +241,8 @@ def test_oracle_spec_json_round_trip():
     assert spec.transform.kind == "periodic"
     with pytest.raises(ValueError, match="decay"):
         oracle_spec_from_json(json.dumps({"decay": 2.0}))
+    with pytest.raises(ValueError, match="a0"):
+        oracle_spec_from_json(json.dumps({"a0": [1.5]}))
 
 
 def test_fit_report_synthetic_power_law(tmp_path):
@@ -372,6 +388,23 @@ def test_cli_oracle_check_reads_spec_file(tmp_path, capsys):
     assert cli.main(["oracle-check", str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "exact zero" in out
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["predict", "--config"], {"theta_list": 2.0}),
+        (["predict", "--config"], {"mesh_m": "16"}),
+        (["predict", "--config"], {"seed": "x"}),
+        (["predict", "--config"], {"n_nodes": 8.5}),
+        (["oracle-check"], {"b": 0.1}),
+    ],
+)
+def test_cli_exit_code_for_malformed_json(command, data, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(command + [str(path)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):

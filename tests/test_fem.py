@@ -167,22 +167,6 @@ def test_galerkin_residual_vanishes():
     assert np.max(np.abs(residual)) <= 1e-9 * np.linalg.norm(system.rhs)
 
 
-def test_cg_matches_direct():
-    mesh = build_unit_square_mesh(16)
-    system = assemble_system(mesh, _ones, _manufactured_source)
-    direct = solve(system, method="direct")
-    iterative = solve(system, method="cg")
-    scale = np.max(np.abs(direct.values))
-    assert np.max(np.abs(direct.values - iterative.values)) <= 1e-8 * scale
-
-
-def test_unknown_solver_rejected():
-    mesh = build_unit_square_mesh(4)
-    system = assemble_system(mesh, _ones, _manufactured_source)
-    with pytest.raises(ValueError):
-        solve(system, method="gmres")
-
-
 def test_coefficient_scaling_scales_solution():
     mesh = build_unit_square_mesh(8)
     u = solve(assemble_system(mesh, _ones, _manufactured_source))

@@ -9,7 +9,6 @@ from trunclab.field import (
     PERIODIC,
     CoercivityError,
     DiffusionFieldSpec,
-    apply_transform,
     b_sequence,
     coercivity_bounds,
     coercivity_limit_bounds,
@@ -25,29 +24,29 @@ AMIN_IDENTITY_T15 = 0.21590671550030183
 
 
 def test_periodic_transform_at_zero():
-    assert apply_transform(PERIODIC, np.zeros(5)).tolist() == [0.0] * 5
+    assert PERIODIC.apply(np.zeros(5)).tolist() == [0.0] * 5
 
 
 def test_periodic_transform_quarter():
-    out = apply_transform(PERIODIC, np.array([0.25]))
+    out = PERIODIC.apply(np.array([0.25]))
     assert out[0] == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-15)
 
 
 def test_identity_transform_is_noop(rng):
     y = rng.uniform(-0.5, 0.5, size=32)
-    out = apply_transform(IDENTITY, y)
+    out = IDENTITY.apply(y)
     assert np.array_equal(out, y)
     assert out is not y  # defensive copy, caller may mutate
 
 
 def test_transform_rejects_out_of_range():
     with pytest.raises(ValueError, match=r"y\[2\]"):
-        apply_transform(PERIODIC, np.array([0.0, 0.1, 0.7]))
+        PERIODIC.apply(np.array([0.0, 0.1, 0.7]))
 
 
 def test_periodic_range_inside_half_interval(rng):
     y = rng.uniform(-0.5, 0.5, size=1000)
-    out = apply_transform(PERIODIC, y)
+    out = PERIODIC.apply(y)
     assert np.all(np.abs(out) <= 0.5)
     assert np.all(np.abs(out) <= 1.0 / math.sqrt(6.0) + 1e-15)
 
@@ -56,7 +55,7 @@ def test_periodic_zero_mean_by_quadrature():
     # 64-point Gauss-Legendre on [-1/2, 1/2]
     x, w = np.polynomial.legendre.leggauss(64)
     x, w = x / 2.0, w / 2.0
-    mean = float(np.sum(w * apply_transform(PERIODIC, x)))
+    mean = float(np.sum(w * PERIODIC.apply(x)))
     assert abs(mean) <= 1e-12
 
 
@@ -64,7 +63,7 @@ def test_periodic_zero_mean_by_quadrature():
 def test_periodic_bounded_moments(k):
     x, w = np.polynomial.legendre.leggauss(64)
     x, w = x / 2.0, w / 2.0
-    moment = float(np.sum(w * np.abs(apply_transform(PERIODIC, x)) ** k))
+    moment = float(np.sum(w * np.abs(PERIODIC.apply(x)) ** k))
     assert moment <= (1.0 / math.sqrt(6.0)) ** k
     assert moment <= 1.0
 
@@ -104,8 +103,8 @@ def test_transform_truncation_commute(rng):
         for _ in range(25):
             y = rng.uniform(-0.5, 0.5, size=16)
             s = int(rng.integers(0, 17))
-            a = apply_transform(transform, truncate(y, s))
-            b = truncate(apply_transform(transform, y), s)
+            a = transform.apply(truncate(y, s))
+            b = truncate(transform.apply(y), s)
             assert np.array_equal(a, b)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,21 +11,24 @@ from trunclab.lattice import (
     LatticeRule,
     declared_node_range,
     draw_shift,
-    estimate_truncation_error,
     estimate_truncation_errors,
-    generate_node,
     generate_nodes,
     lattice_rule,
-    multishift_truncation_estimates,
     parse_generating_vector,
-    qmc_mean,
     scalar_distance,
-    with_seed,
 )
 
 
 def _unshifted(n, z):
     return LatticeRule(n=n, z=np.asarray(z, dtype=np.int64), shift=np.zeros(len(z)), seed=0)
+
+
+def _node(rule, i, s):
+    return generate_nodes(rule, i, i + 1, s)[0]
+
+
+def _constant_distance(value):
+    return lambda u, v: value
 
 
 def test_parse_single_column():
@@ -71,39 +75,39 @@ def test_declared_node_range():
 
 def test_node_zero_index_is_corner():
     rule = _unshifted(4, [1, 3])
-    assert generate_node(rule, 0, 2).tolist() == [-0.5, -0.5]
+    assert _node(rule, 0, 2).tolist() == [-0.5, -0.5]
 
 
 def test_node_arithmetic_example():
     rule = _unshifted(4, [1, 3])
-    assert generate_node(rule, 1, 2).tolist() == [-0.25, 0.25]
+    assert _node(rule, 1, 2).tolist() == [-0.25, 0.25]
 
 
 def test_node_shift_symmetry():
     base = _unshifted(8, [1, 5, 3])
     shifted = LatticeRule(n=8, z=base.z, shift=np.full(3, 0.5), seed=0)
     for i in (0, 1, 5, 7):
-        a = generate_node(base, i, 3) + 0.5  # back to [0,1)
-        b = generate_node(shifted, i, 3) + 0.5
+        a = _node(base, i, 3) + 0.5  # back to [0,1)
+        b = _node(shifted, i, 3) + 0.5
         assert np.allclose((a + 0.5) % 1.0, b, rtol=0, atol=1e-15)
 
 
 def test_node_periodicity(small_rule):
     for i in (0, 1, 17, 1023):
-        a = generate_node(small_rule, i, 16)
-        b = generate_node(small_rule, i + small_rule.n, 16)
+        a = _node(small_rule, i, 16)
+        b = _node(small_rule, i + small_rule.n, 16)
         assert np.array_equal(a, b)
 
 
 def test_generate_nodes_matches_single(small_rule):
     block = generate_nodes(small_rule, 5, 21, 12)
     for k, i in enumerate(range(5, 21)):
-        assert np.array_equal(block[k], generate_node(small_rule, i, 12))
+        assert np.array_equal(block[k], _node(small_rule, i, 12))
 
 
 def test_node_dimension_cap(small_rule):
     with pytest.raises(ValueError):
-        generate_node(small_rule, 0, small_rule.z.size + 1)
+        generate_nodes(small_rule, 0, 1, small_rule.z.size + 1)
 
 
 def test_exact_integer_reduction(rng):
@@ -118,7 +122,7 @@ def test_exact_integer_reduction(rng):
         j = int(rng.integers(0, 64))
         want = ((i * int(z[j])) % n) / n  # python ints: exact
         want = (want + shift[j]) % 1.0 - 0.5
-        got = generate_node(rule, i, 64)[j]
+        got = _node(rule, i, 64)[j]
         assert got == want
 
 
@@ -145,60 +149,78 @@ def test_lattice_rule_warns_on_nonstandard_first():
 
 
 def test_with_seed_changes_only_shift(small_rule):
-    other = with_seed(small_rule, 99)
+    other = lattice_rule(small_rule.n, small_rule.z, seed=99)
     assert other.n == small_rule.n
     assert np.array_equal(other.z, small_rule.z)
     assert not np.array_equal(other.shift, small_rule.shift)
 
 
 def test_qmc_mean_constant_is_exact(small_rule):
-    assert qmc_mean(lambda y: 2.75, small_rule, 4) == 2.75
+    # a constant distance c averages to c^2 exactly, so the estimate is c
+    model = oracle.ScalarTruncationModel(oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05)))
+    err = estimate_truncation_errors(model, [1], 2, small_rule, _constant_distance(2.75))
+    assert err[0] == 2.75
 
 
 def test_qmc_mean_first_coordinate_closed_form():
+    def first_coordinate(s, y):
+        return float(y[0]) if s >= 1 else 0.0
+
     for n in (4, 64, 1024):
         rule = _unshifted(n, [1, 17])
-        got = qmc_mean(lambda y: y[0], rule, 2)
-        assert got == -1.0 / (2.0 * n)
+        got = estimate_truncation_errors(first_coordinate, [0], 2, rule, scalar_distance)
+        # mean of (i/n - 1/2)^2 over i < n, a dyadic rational
+        mean_sq = Fraction(1, 12) + Fraction(1, 6 * n * n)
+        assert got[0] == math.sqrt(float(mean_sq))
 
 
 def test_qmc_mean_parity_counting():
     n = 256
     rule = _unshifted(n, [1, 3])
 
-    def parity_indicator(y):
+    def parity_indicator(s, y):
         i = round((y[0] + 0.5) * n)
-        return 1.0 if i % 2 == 0 else 0.0
+        return 1.0 if s >= 1 and i % 2 == 0 else 0.0
 
-    assert qmc_mean(parity_indicator, rule, 2) == 0.5
+    got = estimate_truncation_errors(parity_indicator, [0], 2, rule, scalar_distance)
+    assert got[0] == math.sqrt(0.5)
 
 
 def test_qmc_mean_rejects_bad_budget(small_rule):
-    with pytest.raises(ValueError):
-        qmc_mean(lambda y: 1.0, small_rule, 2, n_used=small_rule.n * 2)
-    with pytest.raises(ValueError):
-        qmc_mean(lambda y: 1.0, small_rule, 2, n_used=100)
+    model = oracle.ScalarTruncationModel(oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05)))
+    for n_used in (100, 2 * small_rule.n):
+        with pytest.raises(ValueError, match="n_used"):
+            estimate_truncation_errors(
+                model, [1], 2, small_rule, scalar_distance, n_used=n_used
+            )
 
 
 def test_qmc_mean_nonfinite_reports_node_index(small_rule):
-    def bad(y):
-        return math.nan if y is not None else 0.0
+    def nan_when_truncated(s, y):
+        return math.nan if s < 2 else 0.0
 
-    with pytest.raises(EvaluationError, match="node index 0"):
-        qmc_mean(bad, small_rule, 2)
+    with pytest.raises(EvaluationError, match=r"nan at node index 0, s = 1"):
+        estimate_truncation_errors(
+            nan_when_truncated, [1], 2, small_rule, scalar_distance, n_used=64
+        )
 
 
 def test_shift_invariance_for_constant_integrand(builtin_z):
-    rules = [lattice_rule(512, builtin_z, seed=s) for s in (1, 2)]
-    values = [qmc_mean(lambda y: 4.25, r, 8) for r in rules]
+    model = oracle.ScalarTruncationModel(oracle.ScalarModelSpec(a0=1.5, b=(0.1,) * 8))
+    values = [
+        estimate_truncation_errors(
+            model, [4], 8, lattice_rule(512, builtin_z, seed=s), _constant_distance(4.25)
+        )[0]
+        for s in (1, 2)
+    ]
     assert values[0] == values[1] == 4.25
 
 
 def test_estimate_zero_at_reference_dimension(small_rule):
     spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02))
     model = oracle.ScalarTruncationModel(spec)
-    err = estimate_truncation_error(model, 3, 3, small_rule, scalar_distance, n_used=64)
-    assert err == 0.0
+    err = estimate_truncation_errors(model, [3], 3, small_rule, scalar_distance, n_used=64)
+    assert err[0] == 0.0
 
 
 def test_estimate_matches_sweep(small_rule):
@@ -208,10 +230,10 @@ def test_estimate_matches_sweep(small_rule):
         model, [1, 2, 3], 4, small_rule, scalar_distance, n_used=256
     )
     for k, s in enumerate([1, 2, 3]):
-        single = estimate_truncation_error(
-            model, s, 4, small_rule, scalar_distance, n_used=256
+        single = estimate_truncation_errors(
+            model, [s], 4, small_rule, scalar_distance, n_used=256
         )
-        assert single == sweep[k]
+        assert single[0] == sweep[k]
 
 
 def test_estimate_monotone_in_s(small_rule):
@@ -249,16 +271,18 @@ def test_estimate_worker_counts_agree(small_rule):
 def test_multishift_estimates(builtin_z):
     spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02))
     model = oracle.ScalarTruncationModel(spec)
-    rule = lattice_rule(256, builtin_z, seed=1)
-    values = multishift_truncation_estimates(
-        model, 1, 3, rule, scalar_distance, seeds=(1, 2, 3), n_used=256
-    )
-    assert len(values) == 3
+
+    def estimates():
+        return [
+            estimate_truncation_errors(
+                model, [1], 3, lattice_rule(256, builtin_z, seed=seed), scalar_distance
+            )[0]
+            for seed in (1, 2, 3)
+        ]
+
+    values = estimates()
     assert values[0] != values[1]  # distinct shifts move the estimate
-    again = multishift_truncation_estimates(
-        model, 1, 3, rule, scalar_distance, seeds=(1, 2, 3), n_used=256
-    )
-    assert np.array_equal(values, again)
+    assert values == estimates()
 
 
 def test_shift_agreement_diagnostic(builtin_z):
@@ -267,17 +291,13 @@ def test_shift_agreement_diagnostic(builtin_z):
 
     spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02), transform=PERIODIC)
     model = oracle.ScalarTruncationModel(spec)
-    rule = lattice_rule(1024, builtin_z, seed=1)
-    pool = multishift_truncation_estimates(
-        model, 1, 3, rule, scalar_distance, seeds=tuple(range(1, 9)), n_used=1024
-    )
-    spread = float(np.std(pool))
-    a = estimate_truncation_error(
-        model, 1, 3, with_seed(rule, 11), scalar_distance, n_used=1024
-    )
-    b = estimate_truncation_error(
-        model, 1, 3, with_seed(rule, 12), scalar_distance, n_used=1024
-    )
+
+    def estimate(seed):
+        rule = lattice_rule(1024, builtin_z, seed=seed)
+        return estimate_truncation_errors(model, [1], 3, rule, scalar_distance)[0]
+
+    spread = float(np.std([estimate(seed) for seed in range(1, 9)]))
+    a, b = estimate(11), estimate(12)
     assert abs(a - b) <= 3.0 * math.sqrt(2.0) * spread + 1e-12
 
 

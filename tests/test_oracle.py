@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trunclab import lattice, oracle, theory
-from trunclab.field import IDENTITY, PERIODIC, CoercivityError
+from trunclab.field import IDENTITY, PERIODIC, CoercivityError, truncate
 from trunclab.oracle import (
     ScalarModelSpec,
     ScalarTruncationModel,
@@ -155,14 +155,23 @@ def test_truncation_model_ignores_padded_tail(canonical_spec):
     assert a == b
 
 
+def test_truncation_model_truncates_full_length_node(canonical_spec, rng):
+    model = ScalarTruncationModel(canonical_spec)
+    for _ in range(10):
+        y = rng.uniform(-0.5, 0.5, size=canonical_spec.s_prime)
+        for s in range(canonical_spec.s_prime + 1):
+            assert model(s, y) == model(s, truncate(y, s))
+        assert model(0, y) == 1.0 / canonical_spec.a0
+
+
 def test_qmc_agreement_across_seeds(canonical_spec, builtin_z):
     estar = exact_l2_truncation_error(canonical_spec, 3, q=16)
     model = ScalarTruncationModel(canonical_spec)
     for seed in range(1, 6):
         rule = lattice.lattice_rule(2 ** 14, builtin_z, seed=seed)
-        estimate = lattice.estimate_truncation_error(
-            model, 3, canonical_spec.s_prime, rule, lattice.scalar_distance
-        )
+        estimate = lattice.estimate_truncation_errors(
+            model, [3], canonical_spec.s_prime, rule, lattice.scalar_distance
+        )[0]
         assert abs(estimate - estar) / estar <= 0.02
 
 
