@@ -22,7 +22,6 @@ from .fem import (
     FemSolution,
     SolveError,
     TriangularMesh,
-    assemble_system,
     build_unit_square_mesh,
     diff_norm,
     qoi_nl,

@@ -114,8 +114,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"max(s_list) = {s_list[-1]} exceeds the reference dimension {self.s_ref}"
             )
-        if self.mesh_m < 1:
-            raise ValueError(f"mesh_m = {self.mesh_m} must be positive")
+        if self.mesh_m < 2:
+            raise ValueError(
+                f"mesh_m = {self.mesh_m} leaves no interior vertex to solve for; "
+                "it must be at least 2"
+            )
         if self.n_nodes < 2 or self.n_nodes & (self.n_nodes - 1):
             raise ValueError(f"n_nodes = {self.n_nodes} is not a power of two >= 2")
         if self.seed < 0:
@@ -217,10 +220,8 @@ class PdeTruncationModel:
         self.quantity = quantity
         mesh = fem.build_unit_square_mesh(mesh_m)
         self.assembler = fem.Assembler(mesh, quad_order)
+        self.rhs = self.assembler.load(self.assembler.coefficient_at_quad(lambda p: p[:, 0]))
         points = self.assembler.quad_points.reshape(-1, 2)
-        self.rhs = self.assembler.load(
-            points[:, 0].reshape(self.assembler.quad_points.shape[:2])
-        )
         self.mode_table = field.mode_table(field_spec.max_modes, points)
         self.mode_weights = field.mode_weights(field_spec, field_spec.max_modes)
 
@@ -232,13 +233,7 @@ class PdeTruncationModel:
         # xi(0) = 0, so dropping the coordinates past s truncates exactly
         active = np.asarray(y, dtype=float)[: int(s)]
         matrix = self.assembler.stiffness(self.coefficient_at_quad(active))
-        system = fem.LinearSystem(
-            matrix=matrix,
-            rhs=self.rhs,
-            mesh=self.assembler.mesh,
-            interior=self.assembler.interior,
-        )
-        solution = fem.solve(system)
+        solution = fem.solve(matrix, self.rhs, self.assembler.mesh)
         if self.quantity == "qoi_nl":
             return fem.qoi_nl(solution)
         return solution

@@ -29,10 +29,6 @@ class SolveError(Exception):
 # Symmetric quadrature rules on the reference triangle in barycentric
 # coordinates; weights sum to one (multiply by the element area).
 _QUAD_BARY = {
-    1: (
-        np.array([[1 / 3, 1 / 3, 1 / 3]]),
-        np.array([1.0]),
-    ),
     2: (
         np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
         np.full(3, 1 / 3),
@@ -73,6 +69,8 @@ class TriangularMesh:
     vertices: np.ndarray      # (n_vertices, 2)
     triangles: np.ndarray     # (n_triangles, 3), counterclockwise
     boundary_mask: np.ndarray  # (n_vertices,) bool
+    area: np.ndarray          # (n_triangles,) triangle areas
+    grads: np.ndarray         # (n_triangles, 3, 2) P1 basis gradients
 
     @property
     def h(self) -> float:
@@ -107,14 +105,17 @@ def build_unit_square_mesh(m: int) -> TriangularMesh:
     gx = idx % (m + 1)
     gy = idx // (m + 1)
     boundary = (gx == 0) | (gx == m) | (gy == 0) | (gy == m)
-    for arr in (vertices, triangles, boundary):
+    area, grads = _triangle_geometry(vertices[triangles])
+    for arr in (vertices, triangles, boundary, area, grads):
         arr.setflags(write=False)
-    return TriangularMesh(m=m, vertices=vertices, triangles=triangles, boundary_mask=boundary)
+    return TriangularMesh(
+        m=m, vertices=vertices, triangles=triangles, boundary_mask=boundary,
+        area=area, grads=grads,
+    )
 
 
-def _triangle_geometry(mesh: TriangularMesh):
-    """Per-triangle signed areas (T,) and P1 basis gradients (T, 3, 2)."""
-    v = mesh.vertices[mesh.triangles]
+def _triangle_geometry(v):
+    """Signed areas (T,) and P1 basis gradients (T, 3, 2) of (T, 3, 2) corners."""
     det = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (
         v[:, 1, 1] - v[:, 0, 1]
     ) * (v[:, 2, 0] - v[:, 0, 0])
@@ -129,39 +130,10 @@ def _triangle_geometry(mesh: TriangularMesh):
     return 0.5 * det, grads
 
 
-def local_stiffness(tri_vertices):
-    """3x3 element stiffness of one triangle for unit coefficient.
-
-    Scalar reference implementation used to validate the vectorized
-    assembly; for a variable coefficient multiply by the quadrature average
-    of a over the triangle.
-    """
-    v = np.asarray(tri_vertices, dtype=float)
-    det = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
-    grads = np.array(
-        [
-            [v[1, 1] - v[2, 1], v[2, 0] - v[1, 0]],
-            [v[2, 1] - v[0, 1], v[0, 0] - v[2, 0]],
-            [v[0, 1] - v[1, 1], v[1, 0] - v[0, 0]],
-        ]
-    ) / det
-    return 0.5 * det * (grads @ grads.T)
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Interior Dirichlet system: SPD sparse matrix and load vector."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    mesh: TriangularMesh
-    interior: np.ndarray
-
-
 class Assembler:
     """Precomputed assembly workspace for one mesh and quadrature order.
 
-    Element geometry, quadrature points, and the interior sparsity pattern
+    Element matrices, quadrature points, and the interior sparsity pattern
     are built once, so reassembling for a new coefficient costs one scaled
     scatter-add.  This is what makes parametric sweeps with tens of
     thousands of assemblies practical.  Instances are immutable after
@@ -174,15 +146,14 @@ class Assembler:
                 f"quad_order {quad_order} unsupported, choose one of {sorted(_QUAD_BARY)}"
             )
         self.mesh = mesh
-        self.quad_order = quad_order
         bary, qweights = _QUAD_BARY[quad_order]
         self.quad_weights = qweights
         self.basis_at_quad = bary
         v = mesh.vertices[mesh.triangles]
         self.quad_points = np.einsum("qb,tbd->tqd", bary, v)
-        area, grads = _triangle_geometry(mesh)
-        self.area = area
-        self.element_base = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+        self.element_base = mesh.area[:, None, None] * np.einsum(
+            "tid,tjd->tij", mesh.grads, mesh.grads
+        )
 
         interior = mesh.interior
         self.interior = interior
@@ -212,13 +183,15 @@ class Assembler:
             raise ValueError("pointwise callables must map (P, 2) points to (P,) values")
         return vals.reshape(self.quad_points.shape[:2])
 
-    def stiffness(self, coeff_at_quad) -> sp.csr_matrix:
+    def stiffness(self, coeff_at_quad) -> sp.csc_matrix:
         """Interior stiffness matrix from coefficient samples of shape (T, Q).
 
         Quadrature of the bilinear form reduces, for P1 gradients, to
         scaling each precomputed element matrix by the quadrature average of
         the coefficient.  Symmetry of the result is exact: both (i, j) and
-        (j, i) accumulate identical floats in identical order.
+        (j, i) accumulate identical floats in identical order.  So the
+        row-major arrays built here are also the column-major ones, and the
+        matrix is returned as CSC, the format splu factors without a copy.
         """
         cvals = np.asarray(coeff_at_quad, dtype=float)
         cmin = cvals.min()
@@ -229,7 +202,7 @@ class Assembler:
         cavg = cvals @ self.quad_weights
         entries = (cavg[:, None, None] * self.element_base).ravel()[self._keep]
         data = np.bincount(self._scatter, weights=entries, minlength=self._nnz)
-        return sp.csr_matrix(
+        return sp.csc_matrix(
             (data, self._indices, self._indptr),
             shape=(self.n_interior, self.n_interior),
         )
@@ -238,27 +211,13 @@ class Assembler:
         """Interior load vector from source samples of shape (T, Q)."""
         f = np.asarray(source_at_quad, dtype=float)
         weighted_basis = self.quad_weights[:, None] * self.basis_at_quad
-        per_vertex = self.area[:, None] * (f @ weighted_basis)
+        per_vertex = self.mesh.area[:, None] * (f @ weighted_basis)
         full = np.bincount(
             self.mesh.triangles.ravel(),
             weights=per_vertex.ravel(),
             minlength=len(self.mesh.vertices),
         )
         return full[self.interior]
-
-    def system(self, coeff, source) -> LinearSystem:
-        matrix = self.stiffness(self.coefficient_at_quad(coeff))
-        rhs = self.load(self.coefficient_at_quad(source))
-        return LinearSystem(matrix=matrix, rhs=rhs, mesh=self.mesh, interior=self.interior)
-
-
-def assemble_system(mesh, coeff, source, quad_order: int = 2) -> LinearSystem:
-    """Assemble the interior Dirichlet system for -div(a grad u) = f.
-
-    coeff and source take an (P, 2) array of points and return (P,) values;
-    coeff must be strictly positive at every quadrature point.
-    """
-    return Assembler(mesh, quad_order).system(coeff, source)
 
 
 @dataclass(frozen=True)
@@ -268,33 +227,28 @@ class FemSolution:
     mesh: TriangularMesh
     values: np.ndarray
 
-    @classmethod
-    def interpolate(cls, mesh, fn):
-        """Nodal interpolant of a callable; boundary values are kept as-is."""
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
 
+def solve(matrix, rhs, mesh: TriangularMesh) -> FemSolution:
+    """Solve the interior system of mesh by sparse LU to relative residual 1e-10.
 
-def solve(system: LinearSystem) -> FemSolution:
-    """Solve the interior system by sparse LU to relative residual 1e-10.
-
-    The answer is checked against the residual contract; boundary values of
-    the returned solution are identically zero.
+    matrix is the CSC interior stiffness matrix and rhs the interior load
+    vector.  The answer is checked against the residual contract; boundary
+    values of the returned solution are identically zero.
     """
-    matrix, rhs = system.matrix, system.rhs
     n = matrix.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
     if n == 0 or rhs_norm == 0.0:
         inner = np.zeros(n)
     else:
-        inner = spla.splu(matrix.tocsc()).solve(rhs)
+        inner = spla.splu(matrix).solve(rhs)
         residual = float(np.linalg.norm(rhs - matrix @ inner))
         if residual > SOLVER_RTOL * rhs_norm:
             raise SolveError(
                 f"residual {residual:.3e} exceeds contract {SOLVER_RTOL * rhs_norm:.3e}"
             )
-    values = np.zeros(len(system.mesh.vertices))
-    values[system.interior] = inner
-    return FemSolution(system.mesh, values)
+    values = np.zeros(len(mesh.vertices))
+    values[mesh.interior] = inner
+    return FemSolution(mesh, values)
 
 
 def _same_mesh(u: FemSolution, v: FemSolution):
@@ -306,18 +260,16 @@ def _same_mesh(u: FemSolution, v: FemSolution):
 
 def l2_norm(u: FemSolution) -> float:
     """Exact L2 norm of the piecewise-linear function."""
-    area, _ = _triangle_geometry(u.mesh)
     t = u.values[u.mesh.triangles]
     u1, u2, u3 = t[:, 0], t[:, 1], t[:, 2]
-    elem = (area / 6.0) * (u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 + u1 * u3 + u2 * u3)
+    elem = (u.mesh.area / 6.0) * (u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 + u1 * u3 + u2 * u3)
     return float(np.sqrt(np.sum(elem)))
 
 
 def h10_seminorm(u: FemSolution) -> float:
     """Exact H1_0 seminorm: gradients are constant per triangle."""
-    area, grads = _triangle_geometry(u.mesh)
-    g = np.einsum("ti,tid->td", u.values[u.mesh.triangles], grads)
-    return float(np.sqrt(np.sum(area * np.sum(g * g, axis=1))))
+    g = np.einsum("ti,tid->td", u.values[u.mesh.triangles], u.mesh.grads)
+    return float(np.sqrt(np.sum(u.mesh.area * np.sum(g * g, axis=1))))
 
 
 def diff_norm(u: FemSolution, v: FemSolution, which: str = "L2") -> float:
@@ -350,5 +302,4 @@ def l2_error_against(u: FemSolution, exact, quad_order: int = 5) -> float:
     uh = u.values[u.mesh.triangles] @ bary.T
     ref = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(uh.shape)
     diff = uh - ref
-    area, _ = _triangle_geometry(u.mesh)
-    return float(np.sqrt(np.sum(area * ((diff * diff) @ qweights))))
+    return float(np.sqrt(np.sum(u.mesh.area * ((diff * diff) @ qweights))))

@@ -162,34 +162,3 @@ def b_sequence(spec: DiffusionFieldSpec, count: int):
     """
     a_min, _ = coercivity_bounds(spec)
     return mode_weights(spec, count) / a_min
-
-
-def eval_coefficient(spec: DiffusionFieldSpec, y, x):
-    """Evaluate the diffusion coefficient at spatial points.
-
-    Parameters
-    ----------
-    spec : DiffusionFieldSpec
-    y : parameter vector of length s <= spec.max_modes, entries in [-1/2, 1/2]
-    x : point(s) in the closed unit square, shape (2,) or (P, 2)
-
-    Returns a float for a single point, an array of length P otherwise.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.ndim != 1:
-        raise ValueError("parameter vector must be one dimensional")
-    if y.size > spec.max_modes:
-        raise ValueError(
-            f"parameter vector length {y.size} exceeds max_modes = {spec.max_modes}"
-        )
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("x must be a point or an array of points in the plane")
-    if pts.size and (pts.min() < -_DOMAIN_TOL or pts.max() > 1.0 + _DOMAIN_TOL):
-        raise ValueError("spatial point outside the closed unit square")
-    values = coefficient_from_modes(
-        spec, y, mode_table(y.size, pts), mode_weights(spec, y.size)
-    )
-    return float(values[0]) if single else values

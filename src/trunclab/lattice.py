@@ -161,11 +161,13 @@ def estimate_truncation_errors(
     aligned with s_list; entries with s = s_ref are exactly zero.
 
     Work is split into fixed blocks of 64 node indices.  With workers > 1
-    the blocks go to a process pool (model, rule and norm must be
-    picklable); the fixed block partition and pairwise reduction make the
-    result bit-identical for every worker count.
+    the blocks go to a process pool of at most one process per block
+    (model, rule and norm must be picklable); the fixed block partition and
+    pairwise reduction make the result bit-identical for every worker count.
     """
     global _SWEEP_STATE
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be at least 1")
     n_used = _check_n_used(rule, n_used)
     s_list = [int(s) for s in s_list]
     if not s_list:
@@ -178,7 +180,9 @@ def estimate_truncation_errors(
             f"s_ref = {s_ref} exceeds generating vector length {rule.z.size}"
         )
     blocks = [(b, min(b + _SWEEP_BLOCK, n_used)) for b in range(0, n_used, _SWEEP_BLOCK)]
-    if workers <= 1:
+    # the pool starts all its processes up front, needed or not
+    workers = min(workers, len(blocks))
+    if workers == 1:
         _sweep_init(model, s_list, s_ref, rule, norm)
         try:
             partials = [_sweep_block(block) for block in blocks]

@@ -13,6 +13,7 @@ session fixtures; the whole gate finishes in a few minutes on one core.
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +194,9 @@ def test_fem_convergence_orders():
     errors = []
     for m in (8, 16, 32):
         mesh = fem.build_unit_square_mesh(m)
-        u = fem.solve(fem.assemble_system(mesh, ones, source))
+        assembler = fem.Assembler(mesh)
+        matrix = assembler.stiffness(assembler.coefficient_at_quad(ones))
+        u = fem.solve(matrix, assembler.load(assembler.coefficient_at_quad(source)), mesh)
         errors.append(fem.l2_error_against(u, exact))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     lo, hi = FEM_ORDER_WINDOW
@@ -242,7 +245,7 @@ def test_invariant_suite(full_tables, tmp_path_factory):
     base = tmp_path_factory.mktemp("accept_det")
     (p1, _), = run_experiment(micro, base / "a")
     (p2, _), = run_experiment(micro, base / "b")
-    if open(p1, "rb").read() != open(p2, "rb").read():
+    if Path(p1).read_bytes() != Path(p2).read_bytes():
         failures.append("run determinism")
 
     # the rate fitter recovers an exact power law to rounding

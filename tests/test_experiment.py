@@ -3,6 +3,7 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from trunclab.experiment import (
     predict_report,
     run_experiment,
 )
-from trunclab.field import PERIODIC, DiffusionFieldSpec, eval_coefficient, truncate
+from trunclab.field import PERIODIC, DiffusionFieldSpec, truncate
 
 MICRO = ExperimentConfig(
     theta_list=(2.0,),
@@ -74,6 +75,8 @@ def test_config_validation_errors():
         ExperimentConfig(theta_list=(2.0, math.nan))
     with pytest.raises(ValueError, match="s_list"):
         ExperimentConfig(s_list=(2, 4.5))
+    with pytest.raises(ValueError, match="interior vertex"):
+        ExperimentConfig(mesh_m=1)
 
 
 def test_config_json_round_trip():
@@ -102,8 +105,11 @@ def test_model_coefficient_matches_field_eval(rng):
     model = PdeTruncationModel(spec, mesh_m=4)
     y = rng.uniform(-0.5, 0.5, size=8)
     got = model.coefficient_at_quad(y).ravel()
-    points = model.assembler.quad_points.reshape(-1, 2)
-    want = eval_coefficient(spec, y, points)
+    x1, x2 = model.assembler.quad_points.reshape(-1, 2).T
+    want = np.full(x1.shape, spec.a0)
+    for j, yj in enumerate(y, start=1):
+        xi = math.sin(2.0 * math.pi * yj) / math.sqrt(6.0)
+        want += xi * j ** -spec.decay * np.sin(j * np.pi * x1) * np.sin(j * np.pi * x2)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
@@ -138,7 +144,7 @@ def test_distance_for_qoi_is_absolute_difference():
 def test_distance_for_full_solution_uses_norm():
     dist = distance_for("full_solution", "H10")
     mesh = fem.build_unit_square_mesh(3)
-    u = fem.FemSolution.interpolate(mesh, lambda p: p[:, 0])
+    u = fem.FemSolution(mesh, mesh.vertices[:, 0])
     zero = fem.FemSolution(mesh, np.zeros(len(mesh.vertices)))
     assert dist(u, zero) == pytest.approx(1.0, rel=1e-14)
 
@@ -151,18 +157,19 @@ def test_run_single_row_at_reference_dimension(tmp_path):
 
 
 def test_run_is_deterministic_across_calls_and_workers(tmp_path):
-    (p1, _), = run_experiment(MICRO, tmp_path / "a", workers=1)
-    (p2, _), = run_experiment(MICRO, tmp_path / "b", workers=2)
-    (p3, _), = run_experiment(MICRO, tmp_path / "c", workers=1)
-    blob = open(p1, "rb").read()
-    assert blob == open(p2, "rb").read()
-    assert blob == open(p3, "rb").read()
+    config = replace(MICRO, n_nodes=128)  # two sweep blocks, so workers=2 uses the pool
+    (p1, _), = run_experiment(config, tmp_path / "a", workers=1)
+    (p2, _), = run_experiment(config, tmp_path / "b", workers=2)
+    (p3, _), = run_experiment(config, tmp_path / "c", workers=1)
+    blob = Path(p1).read_bytes()
+    assert blob == Path(p2).read_bytes()
+    assert blob == Path(p3).read_bytes()
 
 
 def test_run_seed_changes_output(tmp_path):
     (p1, _), = run_experiment(MICRO, tmp_path / "a")
     (p2, _), = run_experiment(replace(MICRO, seed=4), tmp_path / "b")
-    assert open(p1, "rb").read() != open(p2, "rb").read()
+    assert Path(p1).read_bytes() != Path(p2).read_bytes()
 
 
 def test_run_sweep_caching_matches_single_runs(tmp_path):
@@ -364,6 +371,25 @@ def test_cli_exit_code_for_missing_file(capsys):
     assert cli.main(["fit", "/nonexistent/table.csv"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "changes, extra",
+    [({"mesh_m": 1}, []), ({}, ["--workers", "0"]), ({}, ["--workers", "-3"])],
+)
+def test_cli_run_rejects_bad_mesh_and_workers_before_solving(
+    changes, extra, tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting the input")
+
+    monkeypatch.setattr(fem, "solve", no_solve)
+    path = tmp_path / "config.json"
+    data = dict(json.loads(config_to_json(MICRO)), **changes)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + extra) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_exit_code_for_underdetermined_fit(tmp_path, capsys):

@@ -12,7 +12,9 @@ from trunclab.field import (
     b_sequence,
     coercivity_bounds,
     coercivity_limit_bounds,
-    eval_coefficient,
+    coefficient_from_modes,
+    mode_table,
+    mode_weights,
     truncate,
 )
 
@@ -111,29 +113,32 @@ def test_transform_truncation_commute(rng):
 def test_eval_coefficient_at_zero_parameter():
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=64)
     x = np.array([[0.3, 0.7], [0.5, 0.5], [0.01, 0.99]])
-    vals = eval_coefficient(spec, np.zeros(16), x)
+    vals = coefficient_from_modes(spec, np.zeros(16), mode_table(16, x), mode_weights(spec, 16))
     assert np.allclose(vals, 1.5, rtol=0, atol=1e-15)
 
 
 def test_eval_coefficient_single_mode_identity():
     spec = DiffusionFieldSpec(decay=2.0, transform=IDENTITY, max_modes=8)
-    val = eval_coefficient(spec, np.array([0.25]), np.array([0.5, 0.5]))
-    assert val == pytest.approx(1.75, rel=1e-15)
+    centre = np.array([[0.5, 0.5]])
+    val = coefficient_from_modes(spec, [0.25], mode_table(1, centre), mode_weights(spec, 1))
+    assert val[0] == pytest.approx(1.75, rel=1e-15)
 
 
 def test_eval_coefficient_single_mode_periodic():
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=8)
-    val = eval_coefficient(spec, np.array([0.25]), np.array([0.5, 0.5]))
-    assert val == pytest.approx(1.5 + 1.0 / math.sqrt(6.0), rel=1e-15)
+    centre = np.array([[0.5, 0.5]])
+    val = coefficient_from_modes(spec, [0.25], mode_table(1, centre), mode_weights(spec, 1))
+    assert val[0] == pytest.approx(1.5 + 1.0 / math.sqrt(6.0), rel=1e-15)
 
 
 def test_eval_coefficient_respects_coercivity(rng):
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=64)
     a_min, a_max = coercivity_bounds(spec)
+    weights = mode_weights(spec, 64)
     for _ in range(100):
         y = rng.uniform(-0.5, 0.5, size=64)
         x = rng.uniform(0.0, 1.0, size=(100, 2))
-        vals = eval_coefficient(spec, y, x)
+        vals = coefficient_from_modes(spec, y, mode_table(64, x), weights)
         assert np.all(vals >= a_min - 1e-12)
         assert np.all(vals <= a_max + 1e-12)
 
@@ -199,15 +204,3 @@ def test_b_sequence_nonincreasing():
 def test_spec_rejects_decay_at_most_one():
     with pytest.raises(ValueError):
         DiffusionFieldSpec(decay=1.0, transform=IDENTITY, max_modes=16)
-
-
-def test_eval_coefficient_rejects_long_parameter():
-    spec = DiffusionFieldSpec(decay=2.0, transform=IDENTITY, max_modes=4)
-    with pytest.raises(ValueError):
-        eval_coefficient(spec, np.zeros(5), np.array([0.5, 0.5]))
-
-
-def test_eval_coefficient_rejects_point_outside_domain():
-    spec = DiffusionFieldSpec(decay=2.0, transform=IDENTITY, max_modes=4)
-    with pytest.raises(ValueError):
-        eval_coefficient(spec, np.zeros(2), np.array([1.5, 0.5]))

@@ -268,6 +268,49 @@ def test_estimate_worker_counts_agree(small_rule):
     assert np.array_equal(serial, parallel)
 
 
+def test_pool_is_capped_at_the_block_count(small_rule, monkeypatch):
+    spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02))
+    model = oracle.ScalarTruncationModel(spec)
+    monkeypatch.setattr(lattice, "_SWEEP_STATE", None)  # restored after the inline pool
+
+    def estimate(n_used, workers):
+        return estimate_truncation_errors(
+            model, [1, 2], 3, small_rule, scalar_distance, n_used=n_used, workers=workers
+        )
+
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            estimate(64, workers)
+
+    def no_pool(**kwargs):
+        raise AssertionError("a pool was started for a single block")
+
+    monkeypatch.setattr(lattice, "ProcessPoolExecutor", no_pool)
+    assert np.array_equal(estimate(64, 1000), estimate(64, 1))
+
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs the blocks in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lattice, "ProcessPoolExecutor", InlinePool)
+    assert np.array_equal(estimate(128, 1000), estimate(128, 1))
+    assert sizes == [2]
+
+
 def test_multishift_estimates(builtin_z):
     spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02))
     model = oracle.ScalarTruncationModel(spec)
