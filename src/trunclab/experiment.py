@@ -199,8 +199,8 @@ def field_spec_for(config: ExperimentConfig, theta: float) -> DiffusionFieldSpec
 class PdeTruncationModel:
     """The FEM solution (or its QoI) as a function of (s, y) for the estimator.
 
-    Everything reusable is precomputed once: mesh geometry and sparsity
-    pattern, the load vector of the fixed source f(x) = x1, and the sine
+    Everything reusable is precomputed once: mesh geometry and band
+    scatter, the load vector of the fixed source f(x) = x1, and the sine
     table of all modes up to s_ref at the stiffness quadrature points.  A
     call model(s, y) takes y with up to s_ref coordinates, assembles the
     stiffness matrix for the coefficient of y truncated to its first s
@@ -260,6 +260,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
     Returns a list of (path, ErrorTable) in theta order.  Identical config,
     seed and lattice file give byte-identical CSVs, for any worker count.
     """
+    # checked here too, so a bad count leaves no output directory and builds no model
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be at least 1")
     z = _load_vector(config)
     rule = lattice.lattice_rule(config.n_nodes, z, seed=config.seed)
     norm = distance_for(config.quantity, config.norm)

@@ -14,8 +14,8 @@ callables that map an (P, 2) array of points to (P,) values.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .field import CoercivityError
 
@@ -133,10 +133,10 @@ def _triangle_geometry(v):
 class Assembler:
     """Precomputed assembly workspace for one mesh and quadrature order.
 
-    Element matrices, quadrature points, and the interior sparsity pattern
-    are built once, so reassembling for a new coefficient costs one scaled
-    scatter-add.  This is what makes parametric sweeps with tens of
-    thousands of assemblies practical.  Instances are immutable after
+    Element matrices, quadrature points, and the scatter of element entries
+    into band storage are built once, so reassembling for a new coefficient
+    costs one scaled scatter-add.  This is what makes parametric sweeps with
+    tens of thousands of assemblies practical.  Instances are immutable after
     construction and safe to share; process pools copy them wholesale.
     """
 
@@ -165,15 +165,17 @@ class Assembler:
         lj = np.tile(np.arange(3), 3)
         rows = renum[mesh.triangles[:, li].ravel()]
         cols = renum[mesh.triangles[:, lj].ravel()]
-        keep = (rows >= 0) & (cols >= 0)
+        # the matrix is exactly symmetric (see stiffness), so its upper
+        # triangle holds all of it; rows <= cols makes cols interior too
+        keep = (rows >= 0) & (rows <= cols)
         self._keep = keep
-        pairs = rows[keep] * n_int + cols[keep]
-        unique, inverse = np.unique(pairs, return_inverse=True)
-        self._scatter = inverse
-        self._nnz = unique.size
-        self._indices = (unique % max(n_int, 1)).astype(np.int32)
-        counts = np.bincount(unique // max(n_int, 1), minlength=n_int)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        rows, cols = rows[keep], cols[keep]
+        # m for the uniform mesh: neighbours are at most a grid row apart
+        self.half_bandwidth = kd = int(np.max(cols - rows, initial=0))
+        # LAPACK upper band storage puts A[i, j] at band[kd + i - j, j]; the
+        # slots are numbered column by column, so the band is Fortran-ordered
+        self._scatter = cols * (kd + 1) + (kd + rows - cols)
+        self._nnz = (kd + 1) * n_int
 
     def coefficient_at_quad(self, fn):
         """Sample a pointwise callable at all quadrature points, shape (T, Q)."""
@@ -183,15 +185,16 @@ class Assembler:
             raise ValueError("pointwise callables must map (P, 2) points to (P,) values")
         return vals.reshape(self.quad_points.shape[:2])
 
-    def stiffness(self, coeff_at_quad) -> sp.csc_matrix:
+    def stiffness(self, coeff_at_quad) -> np.ndarray:
         """Interior stiffness matrix from coefficient samples of shape (T, Q).
 
         Quadrature of the bilinear form reduces, for P1 gradients, to
         scaling each precomputed element matrix by the quadrature average of
-        the coefficient.  Symmetry of the result is exact: both (i, j) and
-        (j, i) accumulate identical floats in identical order.  So the
-        row-major arrays built here are also the column-major ones, and the
-        matrix is returned as CSC, the format splu factors without a copy.
+        the coefficient.  Symmetry of the matrix is exact: both (i, j) and
+        (j, i) accumulate identical floats in identical order.  So only the
+        upper triangle is summed, straight into the (kd + 1, n) LAPACK upper
+        band storage that `solve` factors, kd the half-bandwidth: A[i, j]
+        for i <= j <= i + kd is band[kd + i - j, j].
         """
         cvals = np.asarray(coeff_at_quad, dtype=float)
         cmin = cvals.min()
@@ -201,11 +204,8 @@ class Assembler:
             )
         cavg = cvals @ self.quad_weights
         entries = (cavg[:, None, None] * self.element_base).ravel()[self._keep]
-        data = np.bincount(self._scatter, weights=entries, minlength=self._nnz)
-        return sp.csc_matrix(
-            (data, self._indices, self._indptr),
-            shape=(self.n_interior, self.n_interior),
-        )
+        band = np.bincount(self._scatter, weights=entries, minlength=self._nnz)
+        return band.reshape(self.n_interior, self.half_bandwidth + 1).T
 
     def load(self, source_at_quad) -> np.ndarray:
         """Interior load vector from source samples of shape (T, Q)."""
@@ -229,19 +229,29 @@ class FemSolution:
 
 
 def solve(matrix, rhs, mesh: TriangularMesh) -> FemSolution:
-    """Solve the interior system of mesh by sparse LU to relative residual 1e-10.
+    """Solve the interior system of mesh by banded Cholesky to relative residual 1e-10.
 
-    matrix is the CSC interior stiffness matrix and rhs the interior load
-    vector.  The answer is checked against the residual contract; boundary
-    values of the returned solution are identically zero.
+    matrix is the interior stiffness matrix in the upper band storage of
+    `Assembler.stiffness` and rhs the interior load vector.  LAPACK factors
+    it (dpbtrf) and solves (dpbtrs); the answer is checked against the
+    residual contract.  Boundary values of the returned solution are
+    identically zero.
     """
-    n = matrix.shape[0]
+    n = matrix.shape[1]
     rhs_norm = float(np.linalg.norm(rhs))
     if n == 0 or rhs_norm == 0.0:
         inner = np.zeros(n)
     else:
-        inner = spla.splu(matrix).solve(rhs)
-        residual = float(np.linalg.norm(rhs - matrix @ inner))
+        factor, info = dpbtrf(matrix)
+        if info == 0:
+            inner, info = dpbtrs(factor, rhs)
+        if info != 0:
+            raise SolveError(
+                f"banded Cholesky failed with LAPACK info = {info} "
+                "(positive: the leading minor of that order is not positive definite)"
+            )
+        product = dsbmv(matrix.shape[0] - 1, 1.0, matrix, inner)
+        residual = float(np.linalg.norm(rhs - product))
         if residual > SOLVER_RTOL * rhs_norm:
             raise SolveError(
                 f"residual {residual:.3e} exceeds contract {SOLVER_RTOL * rhs_norm:.3e}"

@@ -10,10 +10,12 @@ per line or the common two-column "dimension value" layout of published
 lattice parameter files.
 """
 
+import ctypes
 import importlib.resources
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,15 +115,78 @@ def _check_n_used(rule: LatticeRule, n_used):
     return n_used
 
 
+# (get, set) thread-count symbols: numpy's scipy_openblas64_, scipy's
+# scipy_openblas, and an unprefixed system OpenBLAS in either integer width
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted(
+                {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+            )
+    except OSError:  # no /proc: not Linux, so no OpenBLAS found
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread; restore the counts after.
+
+    A sweep is many small independent solves.  Extra BLAS threads only
+    spin on them (a banded factorization at m = 32 runs several times
+    slower with two threads than with one), and pool workers would
+    oversubscribe the cores.  Does nothing when no OpenBLAS is loaded.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
 # Worker-side state for truncation sweeps.  Installed once per process by the
 # pool initializer (or by the serial path), so large models are not re-pickled
-# for every block.
+# for every block; the BLAS pin lasts as long as the state.
 _SWEEP_STATE = None
+_SWEEP_PIN = ExitStack()
 
 
 def _sweep_init(model, s_list, s_ref, rule, norm):
     global _SWEEP_STATE
+    _SWEEP_PIN.enter_context(single_blas_thread())
     _SWEEP_STATE = (model, tuple(s_list), int(s_ref), rule, norm)
+
+
+def _sweep_close():
+    global _SWEEP_STATE
+    _SWEEP_STATE = None
+    _SWEEP_PIN.close()
 
 
 def _sweep_block(bounds):
@@ -165,7 +230,6 @@ def estimate_truncation_errors(
     (model, rule and norm must be picklable); the fixed block partition and
     pairwise reduction make the result bit-identical for every worker count.
     """
-    global _SWEEP_STATE
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
     n_used = _check_n_used(rule, n_used)
@@ -182,19 +246,20 @@ def estimate_truncation_errors(
     blocks = [(b, min(b + _SWEEP_BLOCK, n_used)) for b in range(0, n_used, _SWEEP_BLOCK)]
     # the pool starts all its processes up front, needed or not
     workers = min(workers, len(blocks))
-    if workers == 1:
-        _sweep_init(model, s_list, s_ref, rule, norm)
-        try:
+    try:
+        if workers == 1:
+            _sweep_init(model, s_list, s_ref, rule, norm)
             partials = [_sweep_block(block) for block in blocks]
-        finally:
-            _SWEEP_STATE = None
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_sweep_init,
-            initargs=(model, s_list, s_ref, rule, norm),
-        ) as pool:
-            partials = list(pool.map(_sweep_block, blocks))
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_sweep_init,
+                initargs=(model, s_list, s_ref, rule, norm),
+            ) as pool:
+                partials = list(pool.map(_sweep_block, blocks))
+    finally:
+        # also undoes an initializer that ran in this process
+        _sweep_close()
     totals = _pairwise_sum(partials)
     return np.sqrt(totals / n_used)
 

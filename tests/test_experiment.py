@@ -387,9 +387,11 @@ def test_cli_run_rejects_bad_mesh_and_workers_before_solving(
     path = tmp_path / "config.json"
     data = dict(json.loads(config_to_json(MICRO)), **changes)
     path.write_text(json.dumps(data), encoding="utf-8")
-    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out)]
     assert cli.main(argv + extra) == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_code_for_underdetermined_fit(tmp_path, capsys):

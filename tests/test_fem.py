@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from trunclab import fem
 from trunclab.fem import (
     Assembler,
     FemSolution,
@@ -44,6 +46,22 @@ def _system(mesh, coeff, source):
 
 def _solve(mesh, coeff, source):
     return solve(*_system(mesh, coeff, source), mesh)
+
+
+def _band_of(dense, kd):
+    """LAPACK upper band storage of a dense matrix: A[i, j] at band[kd + i - j, j]."""
+    n = dense.shape[0]
+    band = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(dense, d)
+    return band
+
+
+def _csc_of(band):
+    """The full symmetric CSC matrix whose upper triangle is the band."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    upper = sp.diags([band[kd - d, d:] for d in range(kd + 1)], range(kd + 1), shape=(n, n))
+    return (upper + sp.triu(upper, 1).T).tocsc()
 
 
 def test_mesh_m1_counts():
@@ -133,13 +151,16 @@ def test_stiffness_matches_element_sum(m, rng):
     n = mesh.interior.size
     want = sp.coo_matrix(
         (elem.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsc()
+    ).toarray()
 
-    assert got.format == "csc"
-    assert got.has_sorted_indices
-    diff = np.max(np.abs((got - want).toarray()))
-    assert diff <= 1e-15 * np.max(np.abs(want.toarray()))
-    assert (got - got.T).nnz == 0
+    kd = assembler.half_bandwidth
+    assert kd == (m if m > 2 else 0)  # row-major interior numbering
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    assert not np.any(want[np.abs(offsets) > kd])
+    assert got.shape == (kd + 1, n)
+    tol = 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(got - _band_of(want, kd))) <= tol
+    assert np.max(np.abs(got - _band_of(want.T, kd))) <= tol
 
 
 def test_zero_source_gives_zero_rhs_and_solution():
@@ -154,19 +175,35 @@ def test_constant_coefficient_scales_matrix():
     mesh = build_unit_square_mesh(4)
     base, _ = _system(mesh, _ones, _zeros)
     scaled, _ = _system(mesh, lambda p: 2.5 * np.ones(len(p)), _zeros)
-    diff = (scaled - 2.5 * base).toarray()
-    assert np.max(np.abs(diff)) <= 1e-14
+    assert scaled.shape == base.shape
+    assert np.max(np.abs(scaled - 2.5 * base)) <= 1e-14
 
 
-def test_matrix_symmetry_exact(rng):
+def test_matrix_symmetry_exact():
+    """The lower triangle the band drops equals its upper one bit for bit."""
     mesh = build_unit_square_mesh(8)
+    assembler = Assembler(mesh)
 
     def wavy(points):
         return 1.5 + 0.4 * np.sin(3 * np.pi * points[:, 0]) * np.cos(points[:, 1])
 
-    matrix, _ = _system(mesh, wavy, _zeros)
-    asym = (matrix - matrix.T).tocoo()
-    assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
+    coeff = assembler.coefficient_at_quad(wavy)
+    band = assembler.stiffness(coeff)
+    # both triangles, summed from the same element entries in element order
+    entries = (coeff @ assembler.quad_weights)[:, None, None] * assembler.element_base
+    renum = np.full(len(mesh.vertices), -1)
+    n = mesh.interior.size
+    renum[mesh.interior] = np.arange(n)
+    rows = np.repeat(renum[mesh.triangles], 3, axis=1).ravel()
+    cols = np.tile(renum[mesh.triangles], 3).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    full = np.bincount(
+        rows[keep] * n + cols[keep], weights=entries.ravel()[keep], minlength=n * n
+    ).reshape(n, n)
+    kd = assembler.half_bandwidth
+    assert np.array_equal(full, full.T)
+    assert np.array_equal(band, _band_of(full, kd))
+    assert np.array_equal(band, _band_of(full.T, kd))
 
 
 def test_nonpositive_coefficient_rejected():
@@ -212,7 +249,7 @@ def test_galerkin_residual_vanishes():
     mesh = build_unit_square_mesh(16)
     matrix, rhs = _system(mesh, _ones, _manufactured_source)
     u = solve(matrix, rhs, mesh)
-    residual = rhs - matrix @ u.values[mesh.interior]
+    residual = rhs - _csc_of(matrix) @ u.values[mesh.interior]
     assert np.max(np.abs(residual)) <= 1e-9 * np.linalg.norm(rhs)
 
 
@@ -303,9 +340,8 @@ def test_assembler_reuse_matches_fresh_assembly():
     for coeff in (coeff_a, coeff_b, coeff_a):
         reused = assembler.stiffness(assembler.coefficient_at_quad(coeff))
         fresh, _ = _system(mesh, coeff, _zeros)
-        assert np.array_equal(reused.indptr, fresh.indptr)
-        assert np.array_equal(reused.indices, fresh.indices)
-        assert np.array_equal(reused.data, fresh.data)
+        assert reused.shape == fresh.shape
+        assert np.array_equal(reused, fresh)
 
 
 def test_bad_quad_order_rejected():
@@ -315,10 +351,36 @@ def test_bad_quad_order_rejected():
             Assembler(mesh, quad_order=order)
 
 
-def test_solve_residual_contract_enforced():
-    # a well-posed system passes the residual check, so exercise the error
-    # path directly with an inconsistent (zeroed) matrix.
+def test_solve_residual_contract_enforced(monkeypatch):
     mesh = build_unit_square_mesh(2)
     matrix, rhs = _system(mesh, _ones, _manufactured_source)
-    with pytest.raises((SolveError, RuntimeError)):
+    # a zeroed matrix fails in the factorization
+    with pytest.raises(SolveError):
         solve(matrix * 0.0, rhs, mesh)
+    # a solve that returns a wrong answer fails the residual check; m = 2 has
+    # one unknown, x = b / a, and its Cholesky factor is sqrt(a)
+    monkeypatch.setattr(fem, "dpbtrs", lambda factor, b: (1.01 * b / factor[-1] ** 2, 0))
+    with pytest.raises(SolveError, match="residual"):
+        solve(matrix, rhs, mesh)
+
+
+@pytest.mark.parametrize("m", [2, 5, 16, 32])
+def test_solve_matches_splu(m, rng):
+    """The banded Cholesky solve agrees with a direct sparse LU solve."""
+    mesh = build_unit_square_mesh(m)
+    assembler = Assembler(mesh)
+    band = assembler.stiffness(rng.uniform(0.5, 2.0, size=assembler.quad_points.shape[:2]))
+    rhs = rng.normal(size=mesh.interior.size)
+    got = solve(band, rhs, mesh).values[mesh.interior]
+    want = spla.splu(_csc_of(band)).solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_rejects_indefinite_band():
+    mesh = build_unit_square_mesh(5)
+    band, rhs = _system(mesh, _ones, _manufactured_source)
+    band = band.copy()
+    kd = band.shape[0] - 1
+    band[kd, 3] = -band[kd, 3]  # a negative pivot at the fourth unknown
+    with pytest.raises(SolveError, match="info = 4"):
+        solve(band, rhs, mesh)

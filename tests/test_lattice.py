@@ -1,5 +1,7 @@
+import ctypes
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,59 @@ def _node(rule, i, s):
 
 def _constant_distance(value):
     return lambda u, v: value
+
+
+_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _openblas_thread_counts():
+    """Thread count of every OpenBLAS mapped into this process, read through ctypes."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="ascii", errors="replace")
+    except OSError:
+        return []
+    paths = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
+    counts = []
+    for path in sorted(p for p in paths if "/" in p):
+        lib = ctypes.CDLL(path)
+        getter = next(getattr(lib, name) for name in _THREAD_GETTERS if hasattr(lib, name))
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+class _ThreadProbe:
+    """A model whose output is the BLAS thread counts it runs under."""
+
+    def __call__(self, s, y):
+        return _openblas_thread_counts()
+
+
+def _most_threads(u, v):
+    return float(max(u + v))
+
+
+@pytest.fixture()
+def blas_at_three_threads():
+    """Every loaded OpenBLAS at three threads, a count neither a default nor the pin sets."""
+    counts = _openblas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    controls = lattice._openblas_thread_controls()
+    assert len(controls) == len(counts)
+    for _, set_threads in controls:
+        set_threads(3)
+    try:
+        assert _openblas_thread_counts() == [3] * len(counts)
+        yield len(counts)
+    finally:
+        for (_, set_threads), count in zip(controls, counts):
+            set_threads(count)
 
 
 def test_parse_single_column():
@@ -353,3 +408,25 @@ def test_sweep_wraps_model_failures_with_node_index(small_rule):
         estimate_truncation_errors(
             Explodes(), [1], 2, small_rule, scalar_distance, n_used=64
         )
+
+
+def test_sweep_pins_blas_to_one_thread(small_rule, blas_at_three_threads):
+    # 128 nodes are two sweep blocks, so workers = 2 runs in the pool
+    for n_used, workers in ((64, 1), (128, 2)):
+        errors = estimate_truncation_errors(
+            _ThreadProbe(), [1], 2, small_rule, _most_threads, n_used=n_used, workers=workers
+        )
+        assert errors.tolist() == [1.0]
+        assert _openblas_thread_counts() == [3] * blas_at_three_threads
+
+
+def test_sweep_restores_blas_threads_after_failure(small_rule, blas_at_three_threads):
+    class FailsPinned:
+        def __call__(self, s, y):
+            raise RuntimeError(f"running under {_openblas_thread_counts()} threads")
+
+    with pytest.raises(EvaluationError, match=r"under \[1(, 1)*\] threads"):
+        estimate_truncation_errors(
+            FailsPinned(), [1], 2, small_rule, scalar_distance, n_used=64
+        )
+    assert _openblas_thread_counts() == [3] * blas_at_three_threads
