@@ -197,16 +197,17 @@ def field_spec_for(config: ExperimentConfig, theta: float) -> DiffusionFieldSpec
 
 
 class PdeTruncationModel:
-    """The FEM solution (or its QoI) as a function of (s, y) for the estimator.
+    """The FEM solution (or its QoI) as a function of (s, nodes) for the estimator.
 
     Everything reusable is precomputed once: mesh geometry and band
     scatter, the load vector of the fixed source f(x) = x1, and the sine
-    table of all modes up to s_ref at the stiffness quadrature points.  A
-    call model(s, y) takes y with up to s_ref coordinates, assembles the
-    stiffness matrix for the coefficient of y truncated to its first s
-    coordinates, and solves; with quantity="qoi_nl" it returns the scalar
-    G(u) instead of the solution object.  Instances are picklable, so
-    process pools can receive them wholesale.
+    table of all modes up to s_ref at the distinct stiffness quadrature
+    points (an edge midpoint serves both triangles of its edge).  A call
+    model(s, nodes) takes a (k, s_ref) stack of nodes and returns the k
+    outputs for the coefficients of the nodes truncated to their first s
+    coordinates, stacked on axis 0: the nodal values (k, vertices) of the
+    solutions, or with quantity="qoi_nl" the scalars G(u) (k,).  Instances
+    are picklable, so process pools can receive them wholesale.
     """
 
     def __init__(
@@ -221,29 +222,34 @@ class PdeTruncationModel:
         mesh = fem.build_unit_square_mesh(mesh_m)
         self.assembler = fem.Assembler(mesh, quad_order)
         self.rhs = self.assembler.load(self.assembler.coefficient_at_quad(lambda p: p[:, 0]))
-        points = self.assembler.quad_points.reshape(-1, 2)
+        points, self.point_index = np.unique(
+            self.assembler.quad_points.reshape(-1, 2), axis=0, return_inverse=True
+        )
         self.mode_table = field.mode_table(field_spec.max_modes, points)
         self.mode_weights = field.mode_weights(field_spec, field_spec.max_modes)
 
-    def coefficient_at_quad(self, y) -> np.ndarray:
-        coeff = field.coefficient_from_modes(self.spec, y, self.mode_table, self.mode_weights)
-        return coeff.reshape(self.assembler.quad_points.shape[:2])
+    def coefficient_at_quad(self, nodes) -> np.ndarray:
+        """Coefficient samples (k, T, Q) for a (k, s) stack of truncated nodes."""
+        coeff = field.coefficient_from_modes(self.spec, nodes, self.mode_table, self.mode_weights)
+        return coeff[:, self.point_index].reshape(-1, *self.assembler.quad_points.shape[:2])
 
-    def __call__(self, s, y):
+    def __call__(self, s, nodes):
         # xi(0) = 0, so dropping the coordinates past s truncates exactly
-        active = np.asarray(y, dtype=float)[: int(s)]
-        matrix = self.assembler.stiffness(self.coefficient_at_quad(active))
-        solution = fem.solve(matrix, self.rhs, self.assembler.mesh)
+        active = np.asarray(nodes, dtype=float)[:, : int(s)]
+        mesh = self.assembler.mesh
+        values = np.empty((len(active), len(mesh.vertices)))
+        for row, coeff in zip(values, self.coefficient_at_quad(active)):
+            row[:] = fem.solve(self.assembler.stiffness(coeff), self.rhs, mesh).values
         if self.quantity == "qoi_nl":
-            return fem.qoi_nl(solution)
-        return solution
+            return fem.qoi_nl(fem.FemSolution(mesh, values))
+        return values
 
 
-def distance_for(quantity: str, norm: str):
-    """The output-space distance matching a config's quantity and norm."""
+def distance_for(quantity: str, norm: str, mesh: fem.TriangularMesh):
+    """The distance between stacks of outputs for a config's quantity and norm."""
     if quantity == "qoi_nl":
         return lattice.scalar_distance
-    return partial(fem.diff_norm, which=norm)
+    return partial(fem.diff_norm, mesh=mesh, which=norm)
 
 
 def _format_float(value: float) -> str:
@@ -265,7 +271,6 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
         raise ValueError(f"workers = {workers} must be at least 1")
     z = _load_vector(config)
     rule = lattice.lattice_rule(config.n_nodes, z, seed=config.seed)
-    norm = distance_for(config.quantity, config.norm)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for theta in config.theta_list:
@@ -277,7 +282,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1):
             config.s_list,
             config.s_ref,
             rule,
-            norm,
+            distance_for(config.quantity, config.norm, model.assembler.mesh),
             n_used=config.n_nodes,
             workers=workers,
         )
@@ -419,10 +424,12 @@ def oracle_check_report(spec=None, seed: int = 1, n_used: int = 2 ** 14, q: int 
             lattice.scalar_distance,
             n_used=n_used,
         ).tolist()
+    # as in the sweep, extra BLAS threads only spin on the quadrature's small products
+    with lattice.single_blas_thread():
+        exacts = [exact_l2_truncation_error(spec, s, q=q) for s in s_values]
     ok = True
     lines = []
-    for s, estimate in zip(s_values, estimates):
-        exact = exact_l2_truncation_error(spec, s, q=q)
+    for s, estimate, exact in zip(s_values, estimates, exacts):
         if exact == 0.0 and estimate == 0.0:
             lines.append(f"s={s}: exact zero on both sides, pass")
             continue

@@ -222,7 +222,11 @@ class Assembler:
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Piecewise-linear function given by one nodal value per vertex."""
+    """Piecewise-linear functions given by one nodal value per vertex.
+
+    The vertices run along the last axis of values; leading axes, if any,
+    stack several functions on the same mesh.
+    """
 
     mesh: TriangularMesh
     values: np.ndarray
@@ -261,31 +265,29 @@ def solve(matrix, rhs, mesh: TriangularMesh) -> FemSolution:
     return FemSolution(mesh, values)
 
 
-def _same_mesh(u: FemSolution, v: FemSolution):
-    if u.mesh is v.mesh:
-        return
-    if u.mesh.m != v.mesh.m or len(u.mesh.vertices) != len(v.mesh.vertices):
-        raise ValueError("solutions live on different meshes")
-
-
-def l2_norm(u: FemSolution) -> float:
-    """Exact L2 norm of the piecewise-linear function."""
-    t = u.values[u.mesh.triangles]
-    u1, u2, u3 = t[:, 0], t[:, 1], t[:, 2]
+def l2_norm(u: FemSolution):
+    """Exact L2 norm of the piecewise-linear function, one per stacked function."""
+    t = u.values[..., u.mesh.triangles]
+    u1, u2, u3 = t[..., 0], t[..., 1], t[..., 2]
     elem = (u.mesh.area / 6.0) * (u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 + u1 * u3 + u2 * u3)
-    return float(np.sqrt(np.sum(elem)))
+    return np.sqrt(np.sum(elem, axis=-1))
 
 
-def h10_seminorm(u: FemSolution) -> float:
-    """Exact H1_0 seminorm: gradients are constant per triangle."""
-    g = np.einsum("ti,tid->td", u.values[u.mesh.triangles], u.mesh.grads)
-    return float(np.sqrt(np.sum(u.mesh.area * np.sum(g * g, axis=1))))
+def h10_seminorm(u: FemSolution):
+    """Exact H1_0 seminorm, one per stacked function: gradients are constant per triangle."""
+    g = np.einsum("...ti,tid->...td", u.values[..., u.mesh.triangles], u.mesh.grads, optimize=True)
+    return np.sqrt(np.sum(u.mesh.area * np.sum(g * g, axis=-1), axis=-1))
 
 
-def diff_norm(u: FemSolution, v: FemSolution, which: str = "L2") -> float:
-    """Element-exact norm of u - v; which is "L2" or "H10"."""
-    _same_mesh(u, v)
-    w = FemSolution(u.mesh, u.values - v.values)
+def diff_norm(u, v, mesh: TriangularMesh, which: str = "L2") -> np.ndarray:
+    """Element-exact norms of u - v, row by row; which is "L2" or "H10".
+
+    u and v are (k, vertices) stacks of nodal values on mesh; the result
+    holds the k distances.
+    """
+    if u.shape[-1] != len(mesh.vertices) or v.shape[-1] != len(mesh.vertices):
+        raise ValueError("nodal values do not match the mesh's vertex count")
+    w = FemSolution(mesh, u - v)
     if which == "L2":
         return l2_norm(w)
     if which == "H10":
@@ -293,8 +295,8 @@ def diff_norm(u: FemSolution, v: FemSolution, which: str = "L2") -> float:
     raise ValueError(f"unknown norm {which!r}")
 
 
-def qoi_nl(u: FemSolution) -> float:
-    """Nonlinear quantity of interest: the squared energy seminorm."""
+def qoi_nl(u: FemSolution):
+    """Nonlinear quantity of interest: the squared energy seminorm, one per stacked function."""
     value = h10_seminorm(u)
     return value * value
 

@@ -104,20 +104,28 @@ def mode_weights(spec: DiffusionFieldSpec, count: int) -> np.ndarray:
 def mode_table(count: int, points) -> np.ndarray:
     """Spatial modes sin(j pi x1) sin(j pi x2) for j = 1..count at (P, 2) points.
 
-    Row j - 1 holds mode j; the result has shape (count, P).
+    Row j - 1 holds mode j; the result has shape (count, P).  The sines are
+    taken once per distinct coordinate value (a mesh has few) and gathered
+    per point; the product is the same float as the per-point formula.
     """
     j = np.arange(1, count + 1, dtype=float)
-    return np.sin(np.pi * np.outer(j, points[:, 0])) * np.sin(np.pi * np.outer(j, points[:, 1]))
+    x1, i1 = np.unique(points[:, 0], return_inverse=True)
+    x2, i2 = np.unique(points[:, 1], return_inverse=True)
+    table = np.sin(np.pi * np.outer(j, x1))[:, i1]
+    table *= np.sin(np.pi * np.outer(j, x2))[:, i2]
+    return table
 
 
 def coefficient_from_modes(spec: DiffusionFieldSpec, y, table, weights) -> np.ndarray:
-    """a0 + sum_j xi(y_j) weights[j] table[j] over the first len(y) modes.
+    """a0 + sum_j xi(y_j) weights[j] table[j] over the first s modes.
 
-    table and weights come from mode_table and mode_weights and may hold
-    more modes than y has components.
+    y is one parameter vector of s components, or a (k, s) stack of them
+    that gives k rows of coefficients in one matrix product.  table and
+    weights come from mode_table and mode_weights and may hold more modes
+    than y has components.
     """
     y = np.asarray(y, dtype=float)
-    s = y.size
+    s = y.shape[-1]
     return spec.a0 + (spec.transform.apply(y) * weights[:s]) @ table[:s]
 
 

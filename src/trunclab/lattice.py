@@ -189,27 +189,38 @@ def _sweep_close():
     _SWEEP_PIN.close()
 
 
+def _block_outputs(model, s, nodes, start):
+    """model(s, nodes), with any failure named by the block's node index range."""
+    try:
+        return model(s, nodes)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(
+            f"model failed at node indices {start}..{start + len(nodes) - 1}, s = {s}: {exc}"
+        ) from exc
+
+
 def _sweep_block(bounds):
     model, s_list, s_ref, rule, norm = _SWEEP_STATE
     start, stop = bounds
+    nodes = generate_nodes(rule, start, stop, s_ref)
+    reference = _block_outputs(model, s_ref, nodes, start)
     sums = np.zeros(len(s_list))
-    for i, y in enumerate(generate_nodes(rule, start, stop, s_ref), start):
-        try:
-            reference = model(s_ref, y)
-            values = [None if s == s_ref else model(s, y) for s in s_list]
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"model failed at node index {i}: {exc}") from exc
-        for k, s in enumerate(s_list):
-            if s == s_ref:
-                continue
-            d = float(norm(reference, values[k]))
-            if not np.isfinite(d):
-                raise EvaluationError(
-                    f"non-finite distance {d!r} at node index {i}, s = {s}"
-                )
-            sums[k] += d * d
+    for k, s in enumerate(s_list):
+        if s == s_ref:
+            continue
+        d = np.asarray(norm(reference, _block_outputs(model, s, nodes, start)), dtype=float)
+        if d.shape != (len(nodes),):
+            raise ValueError(f"norm gave shape {d.shape} for a block of {len(nodes)} nodes")
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise EvaluationError(
+                f"non-finite distance {float(d[bad[0]])!r} at node index "
+                f"{start + int(bad[0])}, s = {s}"
+            )
+        for squared in d * d:  # node by node, in index order
+            sums[k] += squared
     return sums
 
 
@@ -218,17 +229,19 @@ def estimate_truncation_errors(
 ):
     """QMC estimates of the L2 truncation error for every s in s_list.
 
-    `model(s, y)` receives the node y with all s_ref coordinates and returns
-    the output at y truncated to its first s coordinates.  For each node the
-    model is evaluated once at the reference dimension s_ref (the stand-in
-    for infinity) and once per requested truncation level, all on the same
-    y; `norm` maps two model outputs to their distance.  Returns an array
-    aligned with s_list; entries with s = s_ref are exactly zero.
+    Work is split into fixed blocks of 64 node indices.  `model(s, nodes)`
+    receives a block's (k, s_ref) nodes, all s_ref coordinates of each, and
+    returns the k outputs at the nodes truncated to their first s
+    coordinates, stacked on axis 0.  Each block is evaluated once at the
+    reference dimension s_ref (the stand-in for infinity) and once per
+    requested truncation level, all on the same nodes; `norm` maps two
+    stacks of outputs to the k distances.  Returns an array aligned with
+    s_list; entries with s = s_ref are exactly zero.
 
-    Work is split into fixed blocks of 64 node indices.  With workers > 1
-    the blocks go to a process pool of at most one process per block
-    (model, rule and norm must be picklable); the fixed block partition and
-    pairwise reduction make the result bit-identical for every worker count.
+    With workers > 1 the blocks go to a process pool of at most one process
+    per block (model, rule and norm must be picklable); the fixed block
+    partition and pairwise reduction make the result bit-identical for
+    every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
@@ -264,8 +277,8 @@ def estimate_truncation_errors(
     return np.sqrt(totals / n_used)
 
 
-def scalar_distance(u, v) -> float:
-    """Distance |u - v| for models returning plain numbers."""
+def scalar_distance(u, v):
+    """Distances |u - v| for models returning plain numbers."""
     return abs(u - v)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import IDENTITY, CoercivityError, Transform, truncate
+from .field import IDENTITY, CoercivityError, Transform
 from .theory import TheoryParams, affine_theory_params
 
 GRID_BUDGET = 250_000_000
@@ -84,16 +84,25 @@ def scalar_model(spec: ScalarModelSpec, y) -> float:
 
 
 class ScalarTruncationModel:
-    """Adapter (s, y) -> model value at y truncated to its first s coordinates.
+    """Adapter (s, nodes) -> model values at the nodes truncated to their first s coordinates.
 
-    y holds all s' coordinates, as the QMC truncation estimator passes it.
+    nodes is a (k, s') stack of full-length nodes, as the QMC truncation
+    estimator passes a block; the k values come back in one array.
     """
 
     def __init__(self, spec: ScalarModelSpec):
         self.spec = spec
+        self.b = np.asarray(spec.b)
 
-    def __call__(self, s, y) -> float:
-        return scalar_model(self.spec, truncate(y, s))
+    def __call__(self, s, nodes) -> np.ndarray:
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[1] != self.spec.s_prime or not 0 <= s <= self.spec.s_prime:
+            raise ValueError(
+                f"need a (k, s' = {self.spec.s_prime}) stack of nodes and 0 <= s <= s', "
+                f"got shape {nodes.shape} and s = {s}"
+            )
+        # xi(0) = 0, so dropping the coordinates past s truncates exactly
+        return 1.0 / (self.spec.a0 + self.spec.transform.apply(nodes[:, :s]) @ self.b[:s])
 
 
 def _sum_grid(bvals, xi_nodes, weights):

@@ -282,7 +282,7 @@ def test_cubature_budget_stability(full_tables):
         fit_s,
         DESK.s_ref,
         rule,
-        distance_for("full_solution", "L2"),
+        distance_for("full_solution", "L2", model.assembler.mesh),
         n_used=DESK.n_nodes // 2,
         workers=WORKERS,
     )

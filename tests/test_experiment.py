@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trunclab import cli, experiment, fem, lattice, plotting, theory
+from trunclab import cli, experiment, fem, field, lattice, plotting, theory
 from trunclab.experiment import (
     ExperimentConfig,
     PdeTruncationModel,
@@ -21,7 +21,7 @@ from trunclab.experiment import (
     predict_report,
     run_experiment,
 )
-from trunclab.field import PERIODIC, DiffusionFieldSpec, truncate
+from trunclab.field import PERIODIC, CoercivityError, DiffusionFieldSpec
 
 MICRO = ExperimentConfig(
     theta_list=(2.0,),
@@ -104,7 +104,7 @@ def test_model_coefficient_matches_field_eval(rng):
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=16)
     model = PdeTruncationModel(spec, mesh_m=4)
     y = rng.uniform(-0.5, 0.5, size=8)
-    got = model.coefficient_at_quad(y).ravel()
+    got = model.coefficient_at_quad(y[None])[0].ravel()
     x1, x2 = model.assembler.quad_points.reshape(-1, 2).T
     want = np.full(x1.shape, spec.a0)
     for j, yj in enumerate(y, start=1):
@@ -116,37 +116,89 @@ def test_model_coefficient_matches_field_eval(rng):
 def test_model_zero_parameter_gives_constant_coefficient():
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=16)
     model = PdeTruncationModel(spec, mesh_m=4)
-    coeff = model.coefficient_at_quad(np.zeros(16))
+    coeff = model.coefficient_at_quad(np.zeros((1, 16)))
     assert np.allclose(coeff, 1.5, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [5, 16])
+def test_model_mode_table_covers_distinct_quadrature_points(m):
+    spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=64)
+    model = PdeTruncationModel(spec, mesh_m=m)
+    # an edge midpoint is shared by the two triangles of its edge
+    assert model.mode_table.shape == (64, 3 * m * m + 2 * m)
+    per_point = field.mode_table(64, model.assembler.quad_points.reshape(-1, 2))
+    assert np.array_equal(model.mode_table[:, model.point_index], per_point)
 
 
 def test_model_truncates_full_length_node(rng):
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=16)
     model = PdeTruncationModel(spec, mesh_m=4)
-    y = rng.uniform(-0.5, 0.5, size=16)
+    nodes = rng.uniform(-0.5, 0.5, size=(3, 16))
     for s in (0, 1, 5, 15, 16):
-        assert np.array_equal(model(s, y).values, model(s, truncate(y, s)).values)
+        truncated = nodes.copy()
+        truncated[:, s:] = 0.0
+        assert np.array_equal(model(s, nodes), model(s, truncated))
+
+
+@pytest.mark.parametrize("quantity", ["full_solution", "qoi_nl"])
+def test_model_block_rows_match_single_nodes(quantity, rng):
+    spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=16)
+    model = PdeTruncationModel(spec, mesh_m=5, quantity=quantity)
+    nodes = rng.uniform(-0.5, 0.5, size=(5, 16))
+    for s in (0, 3, 16):
+        block = model(s, nodes)
+        assert len(block) == len(nodes)
+        for r in range(len(nodes)):
+            single = model(s, nodes[r:r + 1])
+            assert np.allclose(block[r], single[0], rtol=1e-13, atol=0)
 
 
 def test_model_qoi_quantity_returns_scalar():
     spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=8)
     model = PdeTruncationModel(spec, mesh_m=4, quantity="qoi_nl")
-    value = model(4, np.full(8, 0.2))
-    assert isinstance(value, float)
-    assert value > 0
+    values = model(4, np.full((3, 8), 0.2))
+    assert values.shape == (3,)
+    assert values.dtype == float
+    assert np.all(values > 0)
+
+
+def test_model_block_keeps_domain_coercivity_and_residual_checks(builtin_z, monkeypatch):
+    spec = DiffusionFieldSpec(decay=2.0, transform=field.IDENTITY, max_modes=4)
+    model = PdeTruncationModel(spec, mesh_m=4)
+    nodes = np.zeros((3, 4))
+    nodes[1, 0] = 0.5
+    with pytest.raises(ValueError, match="out of"):
+        model(4, nodes + np.array([0.0, 0.0, 0.75, 0.0]))
+    # mode 1 at one distinct quadrature point set to -4: a0 + 0.5 * -4 < 0 there only
+    model.mode_table = model.mode_table.copy()
+    model.mode_table[0, 7] = -4.0
+    with pytest.raises(CoercivityError):
+        model(4, nodes)
+    model(4, nodes[[0, 2]])  # the other nodes keep a positive coefficient
+    # through the sweep: a huge negative entry makes every node with y_1 > 0 fail
+    model.mode_table[0, 7] = -1e6
+    norm = distance_for("full_solution", "L2", model.assembler.mesh)
+    rule = lattice.lattice_rule(64, builtin_z, seed=1)  # its 64 nodes spread y_1 over [-1/2, 1/2)
+    with pytest.raises(lattice.EvaluationError, match="node indices 0..63") as info:
+        lattice.estimate_truncation_errors(model, [2], 4, rule, norm)
+    assert isinstance(info.value.__cause__, CoercivityError)
+    model.mode_table[0, 7] = 1.0
+    monkeypatch.setattr(fem, "dpbtrs", lambda factor, b: (1.01 * b, 0))
+    with pytest.raises(fem.SolveError, match="residual"):
+        model(4, nodes)
 
 
 def test_distance_for_qoi_is_absolute_difference():
-    dist = distance_for("qoi_nl", "L2")
+    dist = distance_for("qoi_nl", "L2", fem.build_unit_square_mesh(3))
     assert dist(3.0, 1.25) == 1.75
+    assert dist(np.array([3.0, 1.0]), np.array([1.25, 1.5])).tolist() == [1.75, 0.5]
 
 
 def test_distance_for_full_solution_uses_norm():
-    dist = distance_for("full_solution", "H10")
     mesh = fem.build_unit_square_mesh(3)
-    u = fem.FemSolution(mesh, mesh.vertices[:, 0])
-    zero = fem.FemSolution(mesh, np.zeros(len(mesh.vertices)))
-    assert dist(u, zero) == pytest.approx(1.0, rel=1e-14)
+    dist = distance_for("full_solution", "H10", mesh)
+    u = np.stack([mesh.vertices[:, 0], 2.0 * mesh.vertices[:, 0]])
+    assert dist(u, np.zeros_like(u)) == pytest.approx([1.0, 2.0], rel=1e-14)
 
 
 def test_run_single_row_at_reference_dimension(tmp_path):

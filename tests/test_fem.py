@@ -293,24 +293,37 @@ def test_l2_of_linear_interpolant():
 
 def test_diff_norm_of_identical_solutions(rng):
     mesh = build_unit_square_mesh(5)
-    u = FemSolution(mesh, rng.normal(size=len(mesh.vertices)))
-    assert diff_norm(u, u, "L2") == 0.0
-    assert diff_norm(u, u, "H10") == 0.0
+    u = rng.normal(size=(3, len(mesh.vertices)))
+    assert diff_norm(u, u, mesh, "L2").tolist() == [0.0] * 3
+    assert diff_norm(u, u, mesh, "H10").tolist() == [0.0] * 3
+
+
+def test_diff_norm_rows_match_single_functions(rng):
+    mesh = build_unit_square_mesh(6)
+    u = rng.normal(size=(4, len(mesh.vertices)))
+    v = rng.normal(size=(4, len(mesh.vertices)))
+    for which, norm in (("L2", l2_norm), ("H10", h10_seminorm)):
+        got = diff_norm(u, v, mesh, which)
+        want = [norm(FemSolution(mesh, a - b)) for a, b in zip(u, v)]
+        assert got.shape == (4,)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_diff_norm_rejects_mesh_mismatch():
     coarse, fine = build_unit_square_mesh(4), build_unit_square_mesh(8)
-    u = FemSolution(coarse, coarse.vertices[:, 0])
-    v = FemSolution(fine, fine.vertices[:, 0])
-    with pytest.raises(ValueError):
-        diff_norm(u, v)
+    u = coarse.vertices[:, 0][None]
+    v = fine.vertices[:, 0][None]
+    with pytest.raises(ValueError, match="vertex count"):
+        diff_norm(u, v, coarse)
+    with pytest.raises(ValueError, match="vertex count"):
+        diff_norm(u, u, fine)
 
 
 def test_diff_norm_rejects_unknown_kind():
     mesh = build_unit_square_mesh(3)
-    u = FemSolution(mesh, np.zeros(len(mesh.vertices)))
+    u = np.zeros((1, len(mesh.vertices)))
     with pytest.raises(ValueError):
-        diff_norm(u, u, "H2")
+        diff_norm(u, u, mesh, "H2")
 
 
 def test_qoi_is_squared_seminorm(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trunclab import field
+from trunclab.fem import Assembler, build_unit_square_mesh
 from trunclab.field import (
     IDENTITY,
     PERIODIC,
@@ -108,6 +109,26 @@ def test_transform_truncation_commute(rng):
             a = transform.apply(truncate(y, s))
             b = truncate(transform.apply(y), s)
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [5, 16])
+def test_mode_table_matches_outer_product_formula(m):
+    """The separable table equals the per-point formula bit for bit."""
+    points = Assembler(build_unit_square_mesh(m)).quad_points.reshape(-1, 2)
+    j = np.arange(1, 513, dtype=float)
+    want = np.sin(np.pi * np.outer(j, points[:, 0])) * np.sin(np.pi * np.outer(j, points[:, 1]))
+    assert np.array_equal(mode_table(512, points), want)
+
+
+def test_coefficient_from_modes_stacks_parameter_rows(rng):
+    spec = DiffusionFieldSpec(decay=2.0, transform=PERIODIC, max_modes=64)
+    x = rng.uniform(0.0, 1.0, size=(50, 2))
+    table, weights = mode_table(64, x), mode_weights(spec, 64)
+    y = rng.uniform(-0.5, 0.5, size=(4, 32))
+    block = coefficient_from_modes(spec, y, table, weights)
+    assert block.shape == (4, 50)
+    for row, yr in zip(block, y):
+        assert np.allclose(row, coefficient_from_modes(spec, yr, table, weights), rtol=1e-14, atol=0)
 
 
 def test_eval_coefficient_at_zero_parameter():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trunclab import lattice, oracle
+from trunclab import experiment, lattice, oracle
 from trunclab.lattice import (
     EvaluationError,
     LatticeFormatError,
@@ -19,6 +19,7 @@ from trunclab.lattice import (
     parse_generating_vector,
     scalar_distance,
 )
+from trunclab.oracle import exact_l2_truncation_error
 
 
 def _unshifted(n, z):
@@ -30,7 +31,7 @@ def _node(rule, i, s):
 
 
 def _constant_distance(value):
-    return lambda u, v: value
+    return lambda u, v: np.full(len(u), value)
 
 
 _THREAD_GETTERS = (
@@ -58,14 +59,14 @@ def _openblas_thread_counts():
 
 
 class _ThreadProbe:
-    """A model whose output is the BLAS thread counts it runs under."""
+    """A model whose output, for every node, is the BLAS thread counts it runs under."""
 
-    def __call__(self, s, y):
-        return _openblas_thread_counts()
+    def __call__(self, s, nodes):
+        return np.array([_openblas_thread_counts()] * len(nodes))
 
 
 def _most_threads(u, v):
-    return float(max(u + v))
+    return np.max(np.concatenate([u, v], axis=1), axis=1).astype(float)
 
 
 @pytest.fixture()
@@ -218,8 +219,8 @@ def test_qmc_mean_constant_is_exact(small_rule):
 
 
 def test_qmc_mean_first_coordinate_closed_form():
-    def first_coordinate(s, y):
-        return float(y[0]) if s >= 1 else 0.0
+    def first_coordinate(s, nodes):
+        return nodes[:, 0] if s >= 1 else np.zeros(len(nodes))
 
     for n in (4, 64, 1024):
         rule = _unshifted(n, [1, 17])
@@ -233,9 +234,9 @@ def test_qmc_mean_parity_counting():
     n = 256
     rule = _unshifted(n, [1, 3])
 
-    def parity_indicator(s, y):
-        i = round((y[0] + 0.5) * n)
-        return 1.0 if s >= 1 and i % 2 == 0 else 0.0
+    def parity_indicator(s, nodes):
+        i = np.round((nodes[:, 0] + 0.5) * n)
+        return ((s >= 1) & (i % 2 == 0)).astype(float)
 
     got = estimate_truncation_errors(parity_indicator, [0], 2, rule, scalar_distance)
     assert got[0] == math.sqrt(0.5)
@@ -251,13 +252,24 @@ def test_qmc_mean_rejects_bad_budget(small_rule):
 
 
 def test_qmc_mean_nonfinite_reports_node_index(small_rule):
-    def nan_when_truncated(s, y):
-        return math.nan if s < 2 else 0.0
+    def nan_when_truncated(s, nodes):
+        return np.full(len(nodes), math.nan if s < 2 else 0.0)
 
     with pytest.raises(EvaluationError, match=r"nan at node index 0, s = 1"):
         estimate_truncation_errors(
             nan_when_truncated, [1], 2, small_rule, scalar_distance, n_used=64
         )
+
+    # one bad node in the second block of an unshifted rule, where node i has y_1 = i/n - 1/2
+    n = 128
+    rule = _unshifted(n, [1, 3, 5])
+
+    def inf_at_node_70(s, nodes):
+        index = np.round((nodes[:, 0] + 0.5) * n)
+        return np.where((s == 1) & (index == 70), math.inf, 0.0)
+
+    with pytest.raises(EvaluationError, match=r"inf at node index 70, s = 1$"):
+        estimate_truncation_errors(inf_at_node_70, [1, 2], 3, rule, scalar_distance)
 
 
 def test_shift_invariance_for_constant_integrand(builtin_z):
@@ -400,13 +412,17 @@ def test_shift_agreement_diagnostic(builtin_z):
 
 
 def test_sweep_wraps_model_failures_with_node_index(small_rule):
-    class Explodes:
-        def __call__(self, s, y):
-            raise RuntimeError("synthetic failure")
+    first_of_second_block = generate_nodes(small_rule, 64, 65, 2)[0, 0]
 
-    with pytest.raises(EvaluationError, match="node index 0"):
+    class Explodes:
+        def __call__(self, s, nodes):
+            if nodes[0, 0] == first_of_second_block:
+                raise RuntimeError("synthetic failure")
+            return np.zeros(len(nodes))
+
+    with pytest.raises(EvaluationError, match=r"node indices 64\.\.127, s = 2: synthetic failure"):
         estimate_truncation_errors(
-            Explodes(), [1], 2, small_rule, scalar_distance, n_used=64
+            Explodes(), [1], 2, small_rule, scalar_distance, n_used=128
         )
 
 
@@ -422,11 +438,25 @@ def test_sweep_pins_blas_to_one_thread(small_rule, blas_at_three_threads):
 
 def test_sweep_restores_blas_threads_after_failure(small_rule, blas_at_three_threads):
     class FailsPinned:
-        def __call__(self, s, y):
+        def __call__(self, s, nodes):
             raise RuntimeError(f"running under {_openblas_thread_counts()} threads")
 
     with pytest.raises(EvaluationError, match=r"under \[1(, 1)*\] threads"):
         estimate_truncation_errors(
             FailsPinned(), [1], 2, small_rule, scalar_distance, n_used=64
         )
+    assert _openblas_thread_counts() == [3] * blas_at_three_threads
+
+
+def test_oracle_check_pins_blas_to_one_thread(monkeypatch, blas_at_three_threads):
+    seen = []
+
+    def probed_exact(spec, s, q):
+        seen.append(_openblas_thread_counts())
+        return exact_l2_truncation_error(spec, s, q=q)
+
+    monkeypatch.setattr(experiment, "exact_l2_truncation_error", probed_exact)
+    spec = oracle.ScalarModelSpec(a0=1.5, b=(0.1, 0.05, 0.02))
+    experiment.oracle_check_report(spec=spec, n_used=2 ** 8, q=8)
+    assert seen == [[1] * blas_at_three_threads] * 2
     assert _openblas_thread_counts() == [3] * blas_at_three_threads

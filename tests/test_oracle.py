@@ -148,20 +148,49 @@ def test_exact_error_validates_arguments(canonical_spec):
 def test_truncation_model_ignores_padded_tail(canonical_spec):
     model = ScalarTruncationModel(canonical_spec)
     y = np.full(canonical_spec.s_prime, 0.25)
-    from trunclab.field import truncate
-
-    a = model(2, truncate(y, 2))
+    a = model(2, truncate(y, 2)[None])
     b = scalar_model(canonical_spec, truncate(y, 2))
-    assert a == b
+    assert a.tolist() == [b]
 
 
 def test_truncation_model_truncates_full_length_node(canonical_spec, rng):
     model = ScalarTruncationModel(canonical_spec)
-    for _ in range(10):
-        y = rng.uniform(-0.5, 0.5, size=canonical_spec.s_prime)
-        for s in range(canonical_spec.s_prime + 1):
-            assert model(s, y) == model(s, truncate(y, s))
-        assert model(0, y) == 1.0 / canonical_spec.a0
+    nodes = rng.uniform(-0.5, 0.5, size=(10, canonical_spec.s_prime))
+    for s in range(canonical_spec.s_prime + 1):
+        truncated = nodes.copy()
+        truncated[:, s:] = 0.0
+        assert np.array_equal(model(s, nodes), model(s, truncated))
+    assert np.all(model(0, nodes) == 1.0 / canonical_spec.a0)
+
+
+@pytest.mark.parametrize("transform", [IDENTITY, PERIODIC])
+def test_truncation_model_block_rows_match_single_nodes(transform, rng):
+    spec = ScalarModelSpec(a0=1.5, b=(0.3, 0.2, 0.1, 0.05), transform=transform)
+    model = ScalarTruncationModel(spec)
+    nodes = rng.uniform(-0.5, 0.5, size=(64, spec.s_prime))
+    for s in range(spec.s_prime + 1):
+        block = model(s, nodes)
+        assert block.shape == (64,)
+        for r in range(len(nodes)):
+            assert block[r] == pytest.approx(model(s, nodes[r:r + 1])[0], rel=1e-13, abs=0)
+        if s == spec.s_prime:
+            want = [scalar_model(spec, y) for y in nodes]
+            assert np.allclose(block, want, rtol=1e-13, atol=0)
+
+
+def test_truncation_model_checks_nodes(canonical_spec):
+    model = ScalarTruncationModel(canonical_spec)
+    nodes = np.zeros((2, canonical_spec.s_prime))
+    with pytest.raises(ValueError, match="stack of nodes"):
+        model(2, nodes[0])
+    with pytest.raises(ValueError, match="stack of nodes"):
+        model(2, nodes[:, :-1])
+    with pytest.raises(ValueError, match="stack of nodes"):
+        model(canonical_spec.s_prime + 1, nodes)
+    nodes[1, 1] = -0.75
+    with pytest.raises(ValueError, match=r"out of \[-1/2, 1/2\]"):
+        model(2, nodes)
+    assert model(1, nodes).tolist() == [1.0 / canonical_spec.a0] * 2  # y_2 is truncated away
 
 
 def test_qmc_agreement_across_seeds(canonical_spec, builtin_z):
