@@ -220,26 +220,14 @@ class Assembler:
         return full[self.interior]
 
 
-@dataclass(frozen=True)
-class FemSolution:
-    """Piecewise-linear functions given by one nodal value per vertex.
-
-    The vertices run along the last axis of values; leading axes, if any,
-    stack several functions on the same mesh.
-    """
-
-    mesh: TriangularMesh
-    values: np.ndarray
-
-
-def solve(matrix, rhs, mesh: TriangularMesh) -> FemSolution:
+def solve(matrix, rhs, mesh: TriangularMesh) -> np.ndarray:
     """Solve the interior system of mesh by banded Cholesky to relative residual 1e-10.
 
     matrix is the interior stiffness matrix in the upper band storage of
     `Assembler.stiffness` and rhs the interior load vector.  LAPACK factors
     it (dpbtrf) and solves (dpbtrs); the answer is checked against the
-    residual contract.  Boundary values of the returned solution are
-    identically zero.
+    residual contract.  Returns the (vertices,) nodal values, identically
+    zero on the boundary.
     """
     n = matrix.shape[1]
     rhs_norm = float(np.linalg.norm(rhs))
@@ -262,21 +250,24 @@ def solve(matrix, rhs, mesh: TriangularMesh) -> FemSolution:
             )
     values = np.zeros(len(mesh.vertices))
     values[mesh.interior] = inner
-    return FemSolution(mesh, values)
+    return values
 
 
-def l2_norm(u: FemSolution):
-    """Exact L2 norm of the piecewise-linear function, one per stacked function."""
-    t = u.values[..., u.mesh.triangles]
+def l2_norm(values, mesh: TriangularMesh):
+    """Exact L2 norm of the P1 function with nodal values (..., vertices) on mesh.
+
+    Leading axes of values, here and below, stack functions; one result each.
+    """
+    t = values[..., mesh.triangles]
     u1, u2, u3 = t[..., 0], t[..., 1], t[..., 2]
-    elem = (u.mesh.area / 6.0) * (u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 + u1 * u3 + u2 * u3)
+    elem = (mesh.area / 6.0) * (u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 + u1 * u3 + u2 * u3)
     return np.sqrt(np.sum(elem, axis=-1))
 
 
-def h10_seminorm(u: FemSolution):
+def h10_seminorm(values, mesh: TriangularMesh):
     """Exact H1_0 seminorm, one per stacked function: gradients are constant per triangle."""
-    g = np.einsum("...ti,tid->...td", u.values[..., u.mesh.triangles], u.mesh.grads, optimize=True)
-    return np.sqrt(np.sum(u.mesh.area * np.sum(g * g, axis=-1), axis=-1))
+    g = np.einsum("...ti,tid->...td", values[..., mesh.triangles], mesh.grads, optimize=True)
+    return np.sqrt(np.sum(mesh.area * np.sum(g * g, axis=-1), axis=-1))
 
 
 def diff_norm(u, v, mesh: TriangularMesh, which: str = "L2") -> np.ndarray:
@@ -287,31 +278,25 @@ def diff_norm(u, v, mesh: TriangularMesh, which: str = "L2") -> np.ndarray:
     """
     if u.shape[-1] != len(mesh.vertices) or v.shape[-1] != len(mesh.vertices):
         raise ValueError("nodal values do not match the mesh's vertex count")
-    w = FemSolution(mesh, u - v)
     if which == "L2":
-        return l2_norm(w)
+        return l2_norm(u - v, mesh)
     if which == "H10":
-        return h10_seminorm(w)
+        return h10_seminorm(u - v, mesh)
     raise ValueError(f"unknown norm {which!r}")
 
 
-def qoi_nl(u: FemSolution):
+def qoi_nl(values, mesh: TriangularMesh):
     """Nonlinear quantity of interest: the squared energy seminorm, one per stacked function."""
-    value = h10_seminorm(u)
+    value = h10_seminorm(values, mesh)
     return value * value
 
 
-def l2_error_against(u: FemSolution, exact, quad_order: int = 5) -> float:
+def l2_error_against(values, mesh: TriangularMesh, exact) -> float:
     """L2 distance between the P1 function and an analytic reference.
 
-    The reference is sampled with a higher-order rule (degree 5 by default)
-    so the measured discretization error is not polluted by quadrature or by
-    superconvergence at the nodes.
+    Both are sampled with the degree-5 rule, so the measured discretization
+    error is not polluted by quadrature or by superconvergence at the nodes.
     """
-    bary, qweights = _QUAD_BARY[quad_order]
-    v = u.mesh.vertices[u.mesh.triangles]
-    pts = np.einsum("qb,tbd->tqd", bary, v)
-    uh = u.values[u.mesh.triangles] @ bary.T
-    ref = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(uh.shape)
-    diff = uh - ref
-    return float(np.sqrt(np.sum(u.mesh.area * ((diff * diff) @ qweights))))
+    rule = Assembler(mesh, 5)
+    diff = values[mesh.triangles] @ rule.basis_at_quad.T - rule.coefficient_at_quad(exact)
+    return float(np.sqrt(np.sum(mesh.area * ((diff * diff) @ rule.quad_weights))))

@@ -36,12 +36,11 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeRule:
-    """Shifted rank-1 lattice: node count, reduced vector, shift, seed."""
+    """Shifted rank-1 lattice: node count, reduced vector, shift."""
 
     n: int
     z: np.ndarray
     shift: np.ndarray
-    seed: int
 
 
 def draw_shift(seed: int, s: int) -> np.ndarray:
@@ -74,7 +73,7 @@ def lattice_rule(n: int, z, seed: int = 1) -> LatticeRule:
     shift = draw_shift(seed, z.size)
     reduced.setflags(write=False)
     shift.setflags(write=False)
-    return LatticeRule(n=n, z=reduced, shift=shift, seed=int(seed))
+    return LatticeRule(n=n, z=reduced, shift=shift)
 
 
 def generate_nodes(rule: LatticeRule, start: int, stop: int, s: int) -> np.ndarray:

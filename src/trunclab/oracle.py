@@ -18,6 +18,9 @@ from .field import IDENTITY, CoercivityError, Transform
 from .theory import TheoryParams, affine_theory_params
 
 GRID_BUDGET = 250_000_000
+# grid entries per chunk of the exact error's outer sum (at least one head
+# row); it bounds the peak temporaries, a few chunk-sized float arrays
+EXACT_CHUNK = 1 << 18
 
 # Exact maximal moments of the uniform measure on [-1/2, 1/2] and of the
 # pushforward under sin(2 pi y)/sqrt(6): both attain their maximum 1/12 at
@@ -146,7 +149,7 @@ def exact_l2_truncation_error(spec: ScalarModelSpec, s: int, q: int = 16) -> flo
     head, w_head = _sum_grid(spec.b[:s], xi_nodes, weights)
     tail, w_tail = _sum_grid(spec.b[s:], xi_nodes, weights)
     err2 = 0.0
-    chunk = max(1, (1 << 22) // tail.size)
+    chunk = max(1, EXACT_CHUNK // tail.size)
     for lo in range(0, head.size, chunk):
         head_part = head[lo:lo + chunk]
         g_full = 1.0 / (spec.a0 + head_part[:, None] + tail[None, :])

@@ -143,28 +143,6 @@ def affine_theory_params(prefactor, b, p, c_mu=1.0 / 12.0, c_xi=1.0 / 12.0) -> T
     return TheoryParams(theta_seq=theta, b=b, p=p, c_mu=c_mu, c_xi=c_xi, k=k)
 
 
-def regularity_bound(params: TheoryParams, nu) -> float:
-    """Derivative bound (max_{l <= |nu|} 2 Theta_l/l!)^2 * (|nu|+1)! * b^nu.
-
-    nu is a multi-index over the leading dimensions of params.b.
-    """
-    nu = np.asarray(nu, dtype=np.int64)
-    if nu.ndim != 1 or np.any(nu < 0):
-        raise ValueError("nu must be a one-dimensional nonnegative multi-index")
-    order = int(nu.sum())
-    if order > params.k + 1:
-        raise ValueError(f"|nu| = {order} exceeds k+1 = {params.k + 1}")
-    if nu.size > params.b.size:
-        if np.any(nu[params.b.size:] != 0):
-            raise ValueError("nu has support beyond the stored b sequence")
-        nu = nu[: params.b.size]
-    front = max(
-        2.0 * params.theta_seq[ell] / math.factorial(ell) for ell in range(order + 1)
-    )
-    b_power = float(np.prod(params.b[: nu.size] ** nu))
-    return front * front * math.factorial(order + 1) * b_power
-
-
 def _log_front(params: TheoryParams, top: int) -> float:
     return max(
         math.log(2.0 * params.theta_seq[ell]) - math.lgamma(ell + 1)

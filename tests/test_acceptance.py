@@ -197,7 +197,7 @@ def test_fem_convergence_orders():
         assembler = fem.Assembler(mesh)
         matrix = assembler.stiffness(assembler.coefficient_at_quad(ones))
         u = fem.solve(matrix, assembler.load(assembler.coefficient_at_quad(source)), mesh)
-        errors.append(fem.l2_error_against(u, exact))
+        errors.append(fem.l2_error_against(u, mesh, exact))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     lo, hi = FEM_ORDER_WINDOW
     ok = all(lo <= order <= hi for order in orders)

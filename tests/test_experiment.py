@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from trunclab.experiment import (
     ExperimentConfig,
     PdeTruncationModel,
     config_from_json,
-    config_to_json,
     distance_for,
     oracle_check_report,
     oracle_spec_from_json,
@@ -33,6 +34,10 @@ MICRO = ExperimentConfig(
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def _config_json(config):
+    return json.dumps(asdict(config))
 
 
 def _polylines(svg_path, cls):
@@ -81,11 +86,11 @@ def test_config_validation_errors():
 
 def test_config_json_round_trip():
     config = replace(MICRO, quantity="qoi_nl", norm="H10", seed=17)
-    assert config_from_json(config_to_json(config)) == config
+    assert config_from_json(_config_json(config)) == config
 
 
 def test_config_json_rejects_unknown_keys():
-    data = json.loads(config_to_json(MICRO))
+    data = json.loads(_config_json(MICRO))
     data["mesh"] = 12
     with pytest.raises(ValueError, match="mesh"):
         config_from_json(json.dumps(data))
@@ -292,6 +297,22 @@ def test_oracle_check_zero_model():
     assert any("exact zero" in line for line in lines)
 
 
+def test_oracle_check_rejects_grid_budget_before_sweeping(monkeypatch, tmp_path, capsys):
+    from trunclab.oracle import ScalarModelSpec
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before rejecting the spec")
+
+    monkeypatch.setattr(lattice, "estimate_truncation_errors", no_sweep)
+    b = [0.1 * j ** -2.0 for j in range(1, 8)]  # 16^7 grid points, past the budget
+    with pytest.raises(ValueError, match="budget"):
+        oracle_check_report(spec=ScalarModelSpec(a0=1.5, b=tuple(b)))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"a0": 1.5, "b": b}), encoding="utf-8")
+    assert cli.main(["oracle-check", str(spec_path)]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_oracle_spec_json_round_trip():
     text = json.dumps({"a0": 2.0, "b": [0.2, 0.1], "transform": "periodic"})
     spec = oracle_spec_from_json(text)
@@ -373,7 +394,7 @@ def test_plot_reference_slope_without_theta(tmp_path):
 
 def _write_config(tmp_path, config):
     path = tmp_path / "config.json"
-    path.write_text(config_to_json(config), encoding="utf-8")
+    path.write_text(_config_json(config), encoding="utf-8")
     return str(path)
 
 
@@ -437,7 +458,7 @@ def test_cli_run_rejects_bad_mesh_and_workers_before_solving(
 
     monkeypatch.setattr(fem, "solve", no_solve)
     path = tmp_path / "config.json"
-    data = dict(json.loads(config_to_json(MICRO)), **changes)
+    data = dict(json.loads(_config_json(MICRO)), **changes)
     path.write_text(json.dumps(data), encoding="utf-8")
     out = tmp_path / "out"
     argv = ["run", "--config", str(path), "--out", str(out)]
@@ -485,6 +506,23 @@ def test_cli_exit_code_for_malformed_json(command, data, tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(command + [str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_package_import_loads_no_submodule():
+    """The package itself re-exports nothing: importing it loads no trunclab.* module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
+    code = (
+        "import sys, trunclab; "
+        "print(sorted(m for m in sys.modules if m.startswith('trunclab.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_help_exits_zero(capsys):

@@ -23,7 +23,7 @@ from trunclab.oracle import exact_l2_truncation_error
 
 
 def _unshifted(n, z):
-    return LatticeRule(n=n, z=np.asarray(z, dtype=np.int64), shift=np.zeros(len(z)), seed=0)
+    return LatticeRule(n=n, z=np.asarray(z, dtype=np.int64), shift=np.zeros(len(z)))
 
 
 def _node(rule, i, s):
@@ -141,7 +141,7 @@ def test_node_arithmetic_example():
 
 def test_node_shift_symmetry():
     base = _unshifted(8, [1, 5, 3])
-    shifted = LatticeRule(n=8, z=base.z, shift=np.full(3, 0.5), seed=0)
+    shifted = LatticeRule(n=8, z=base.z, shift=np.full(3, 0.5))
     for i in (0, 1, 5, 7):
         a = _node(base, i, 3) + 0.5  # back to [0,1)
         b = _node(shifted, i, 3) + 0.5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,3 +237,15 @@ def test_certified_params_shape(canonical_spec):
     assert params.theta_seq[0] == pytest.approx(1.0 / reserve, rel=1e-15)
     assert params.theta_seq[2] == pytest.approx(2.0 / reserve, rel=1e-15)
     assert params.b[0] == pytest.approx(0.1 / reserve, rel=1e-15)
+
+
+def test_exact_error_peak_temporaries_stay_small(canonical_spec):
+    """Chunking bounds the exact error's temporaries: the peak stays below 64 MB."""
+    for s in range(1, canonical_spec.s_prime):
+        tracemalloc.start()
+        try:
+            exact_l2_truncation_error(canonical_spec, s, q=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, f"s = {s}: peak {peak / 2 ** 20:.1f} MB"

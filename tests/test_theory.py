@@ -11,7 +11,6 @@ from trunclab.theory import (
     expected_rate,
     fit_rate,
     lp_quasi_norm,
-    regularity_bound,
     stechkin_tail_bound,
     summability_exponent,
     tail_sum,
@@ -103,49 +102,6 @@ def test_theory_params_validation():
             c_xi=1 / 12,
             k=2,
         )
-
-
-def test_regularity_bound_empty_index():
-    params = TheoryParams(
-        theta_seq=(1.5, 1.0, 2.0, 6.0),
-        b=(0.5, 0.25),
-        p=0.5,
-        c_mu=1 / 12,
-        c_xi=1 / 12,
-        k=2,
-    )
-    assert regularity_bound(params, ()) == pytest.approx(4 * 1.5 ** 2, rel=1e-15)
-
-
-def test_regularity_bound_hand_value():
-    params = TheoryParams(
-        theta_seq=(1.0, 1.0, 1.0, 1.0),
-        b=(0.5, 0.25),
-        p=0.5,
-        c_mu=1 / 12,
-        c_xi=1 / 12,
-        k=2,
-    )
-    assert regularity_bound(params, (1, 1)) == pytest.approx(3.0, rel=1e-15)
-
-
-def test_regularity_bound_affine_case(rng):
-    c = 0.37
-    b = tuple(0.1 * j ** -2.0 for j in range(1, 7))
-    params = affine_theory_params(c, b, p=0.501)
-    for nu in [(1,), (2,), (1, 1), (0, 1, 2), (3,)]:
-        order = sum(nu)
-        if order > params.k + 1:
-            continue
-        b_pow = math.prod(bj ** nj for bj, nj in zip(b, nu))
-        want = 4 * c * c * math.factorial(order + 1) * b_pow
-        assert regularity_bound(params, nu) == pytest.approx(want, rel=1e-13)
-
-
-def test_regularity_bound_rejects_high_order():
-    params = affine_theory_params(1.0, (0.5, 0.25), p=0.5)
-    with pytest.raises(ValueError):
-        regularity_bound(params, (params.k + 2,))
 
 
 def test_upper_bound_zero_sequence():
